@@ -21,7 +21,8 @@
 //!   partition sizes — instead of an opaque `Vec`.
 //! * [`Sink`] is a streaming visitor over output rows, so callers that
 //!   only count, sample, or forward results never pay for full
-//!   materialisation. [`VecSink`], [`PairSink`] and [`CountSink`] are the
+//!   materialisation. [`VecSink`] (into one flat [`Rows`] buffer),
+//!   [`PairSink`] and [`CountSink`] are the
 //!   stock adapters; [`LimitSink`] bounds any of them and signals early
 //!   termination through [`Sink::wants_more`]; [`DeltaSink`] accumulates
 //!   signed row deltas for incremental view maintenance.
@@ -45,5 +46,5 @@ pub use query::{Query, QueryError, QueryFamily};
 pub use registry::EngineRegistry;
 pub use sink::{
     emit_counted_pairs, emit_pairs, emit_tuples, CountSink, DeltaSink, ForEachSink, LimitSink,
-    PairSink, Sink, VecSink,
+    PairSink, Rows, Sink, VecSink,
 };

@@ -14,6 +14,12 @@ pub trait Sink {
         let _ = arity;
     }
 
+    /// Hint that about `rows` more rows follow, so a materialising sink
+    /// can size its buffers once. Defaults to ignoring it.
+    fn reserve(&mut self, rows: usize) {
+        let _ = rows;
+    }
+
     /// One distinct output row.
     fn row(&mut self, row: &[Value]);
 
@@ -35,14 +41,90 @@ pub trait Sink {
     }
 }
 
-/// Materialises every row (and count) — the adapter that recovers the old
-/// `Vec`-returning API.
+/// Output rows of one arity, stored back to back in a single buffer.
+///
+/// This is the one row layout from engine to wire: [`VecSink`] collects
+/// into it and the service caches and serves it as is, so materialising
+/// or dropping a result costs one allocation, not one per row. Row `i`
+/// is `values[i·arity .. (i+1)·arity]`.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct Rows {
+    arity: usize,
+    len: usize,
+    values: Vec<Value>,
+}
+
+impl Rows {
+    /// No rows of width `arity`.
+    pub fn new(arity: usize) -> Self {
+        Self {
+            arity,
+            len: 0,
+            values: Vec::new(),
+        }
+    }
+
+    /// Appends one row; it must be `arity` values wide.
+    pub fn push(&mut self, row: &[Value]) {
+        assert_eq!(row.len(), self.arity, "row width must equal the arity");
+        self.values.extend_from_slice(row);
+        self.len += 1;
+    }
+
+    /// Room for `rows` more rows without reallocating.
+    pub fn reserve(&mut self, rows: usize) {
+        self.values.reserve(self.arity * rows);
+    }
+
+    /// Values per row.
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The rows in order, each as an `arity`-wide slice.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[Value]> + DoubleEndedIterator {
+        let arity = self.arity;
+        (0..self.len).map(move |i| &self.values[i * arity..(i + 1) * arity])
+    }
+
+    /// Every value, row after row.
+    pub fn values(&self) -> &[Value] {
+        &self.values
+    }
+
+    /// One `Vec` per row — for tests and callers that need owned rows;
+    /// the serving path never calls it.
+    pub fn to_vecs(&self) -> Vec<Vec<Value>> {
+        self.iter().map(<[Value]>::to_vec).collect()
+    }
+}
+
+impl std::ops::Index<usize> for Rows {
+    type Output = [Value];
+
+    fn index(&self, i: usize) -> &[Value] {
+        assert!(i < self.len, "row {i} out of {}", self.len);
+        &self.values[i * self.arity..(i + 1) * self.arity]
+    }
+}
+
+/// Materialises every row (and count) into one flat [`Rows`] buffer —
+/// the adapter that recovers the old `Vec`-returning API.
 #[derive(Debug, Default, Clone)]
 pub struct VecSink {
-    /// Output arity announced by the engine.
-    pub arity: usize,
-    /// The rows, in emission order.
-    pub rows: Vec<Vec<Value>>,
+    /// The rows, in emission order; the arity is the one the engine
+    /// announced through [`Sink::begin`].
+    pub rows: Rows,
     /// Per-row witness counts; 0 for rows emitted without a count.
     pub counts: Vec<u32>,
 }
@@ -55,13 +137,13 @@ impl VecSink {
 
     /// The rows as `(a, b)` pairs (output arity must be 2).
     pub fn pairs(&self) -> Vec<(Value, Value)> {
-        self.rows
-            .iter()
-            .map(|r| {
-                debug_assert_eq!(r.len(), 2, "pairs() on arity-{} output", r.len());
-                (r[0], r[1])
-            })
-            .collect()
+        debug_assert_eq!(
+            self.rows.arity(),
+            2,
+            "pairs() on arity-{} output",
+            self.rows.arity()
+        );
+        self.rows.iter().map(|r| (r[0], r[1])).collect()
     }
 
     /// The rows as `(a, b, count)` triples (arity must be 2).
@@ -86,16 +168,26 @@ impl VecSink {
 
 impl Sink for VecSink {
     fn begin(&mut self, arity: usize) {
-        self.arity = arity;
+        assert!(
+            self.rows.is_empty() || self.rows.arity() == arity,
+            "VecSink holds arity-{} rows, engine announced {arity}",
+            self.rows.arity()
+        );
+        self.rows.arity = arity;
+    }
+
+    fn reserve(&mut self, rows: usize) {
+        self.rows.reserve(rows);
+        self.counts.reserve(rows);
     }
 
     fn row(&mut self, row: &[Value]) {
-        self.rows.push(row.to_vec());
+        self.rows.push(row);
         self.counts.push(0);
     }
 
     fn counted_row(&mut self, row: &[Value], count: u32) {
-        self.rows.push(row.to_vec());
+        self.rows.push(row);
         self.counts.push(count);
     }
 }
@@ -206,6 +298,11 @@ impl<S: Sink> Sink for LimitSink<S> {
         self.inner.begin(arity);
     }
 
+    fn reserve(&mut self, rows: usize) {
+        let room = self.limit.saturating_sub(self.emitted);
+        self.inner.reserve(rows.min(room as usize));
+    }
+
     fn row(&mut self, row: &[Value]) {
         if self.emitted < self.limit {
             self.emitted += 1;
@@ -231,6 +328,7 @@ impl<S: Sink> Sink for LimitSink<S> {
 /// pair-producing engine uses.
 pub fn emit_pairs(sink: &mut dyn Sink, pairs: &[(Value, Value)]) -> u64 {
     sink.begin(2);
+    sink.reserve(pairs.len());
     let mut rows = 0u64;
     for &(a, b) in pairs {
         if !sink.wants_more() {
@@ -253,6 +351,7 @@ pub fn emit_counted_pairs(
     counted: bool,
 ) -> u64 {
     sink.begin(2);
+    sink.reserve(triples.len());
     let mut rows = 0u64;
     for &(a, b, count) in triples {
         if !sink.wants_more() {
@@ -272,6 +371,7 @@ pub fn emit_counted_pairs(
 /// sink stops wanting rows; returns the emitted row count.
 pub fn emit_tuples(sink: &mut dyn Sink, arity: usize, tuples: &[Vec<Value>]) -> u64 {
     sink.begin(arity);
+    sink.reserve(tuples.len());
     let mut rows = 0u64;
     for t in tuples {
         if !sink.wants_more() {
@@ -383,11 +483,58 @@ mod tests {
         s.begin(2);
         s.row(&[1, 2]);
         s.counted_row(&[3, 4], 7);
-        assert_eq!(s.arity, 2);
+        assert_eq!(s.rows.arity(), 2);
+        assert_eq!(s.rows.values(), &[1, 2, 3, 4], "one flat buffer");
+        assert_eq!(&s.rows[1], &[3, 4]);
         assert_eq!(s.pairs(), vec![(1, 2), (3, 4)]);
         assert_eq!(s.counted_pairs(), vec![(1, 2, 0), (3, 4, 7)]);
         assert_eq!(s.len(), 2);
         assert!(!s.is_empty());
+    }
+
+    #[test]
+    fn rows_index_iterate_and_compare_flat() {
+        let mut rows = Rows::new(3);
+        rows.push(&[1, 2, 3]);
+        rows.push(&[4, 5, 6]);
+        assert_eq!((rows.len(), rows.arity()), (2, 3));
+        assert_eq!(&rows[1], &[4, 5, 6]);
+        let seen: Vec<&[Value]> = rows.iter().rev().collect();
+        assert_eq!(seen, vec![&[4, 5, 6][..], &[1, 2, 3][..]]);
+        assert_eq!(rows.to_vecs(), vec![vec![1, 2, 3], vec![4, 5, 6]]);
+        let mut other = Rows::new(3);
+        other.push(&[1, 2, 3]);
+        assert_ne!(rows, other);
+        other.push(&[4, 5, 6]);
+        assert_eq!(rows, other);
+    }
+
+    #[test]
+    fn zero_arity_rows_still_count() {
+        let mut rows = Rows::new(0);
+        rows.push(&[]);
+        rows.push(&[]);
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows.iter().count(), 2);
+        assert!(rows.values().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "row width")]
+    fn rows_reject_a_row_of_the_wrong_width() {
+        Rows::new(2).push(&[1, 2, 3]);
+    }
+
+    #[test]
+    fn limit_sink_reserves_no_more_than_its_quota() {
+        let mut s = LimitSink::new(VecSink::new(), 3);
+        emit_pairs(&mut s, &[(0, 0); 1000]);
+        let inner = s.into_inner();
+        assert_eq!(inner.len(), 3);
+        assert!(
+            inner.counts.capacity() < 1000,
+            "reserve is capped by the limit"
+        );
     }
 
     #[test]

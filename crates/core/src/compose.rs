@@ -474,7 +474,7 @@ mod tests {
     fn run(graph: &QueryGraph<'_>) -> Vec<Vec<Value>> {
         let mut sink = VecSink::new();
         execute_general(graph, &JoinConfig::default(), &mut sink).unwrap();
-        sink.rows
+        sink.rows.to_vecs()
     }
 
     #[test]

@@ -16,8 +16,14 @@
 //!
 //! Coverage of an output pair `(a, c)` with witness `b`: `a` light → pass A;
 //! `c` light → pass B; `b` light in `S` → pass A; `b` light in `R` → pass B;
-//! otherwise all of `a`, `c`, `b` are heavy → matrix. The three part outputs
-//! may overlap, so assembly sorts and deduplicates (output-sized work).
+//! otherwise all of `a`, `c`, `b` are heavy → matrix. The parts may
+//! overlap, but only the light parts need sorting: every matrix backend
+//! yields the product row-major with ascending columns over ascending
+//! heavy `x`/`z` values, so the heavy stream arrives sorted and distinct.
+//! Assembly sorts and deduplicates the light pairs (plus the combinatorial
+//! heavy pairs when the matrix memory cap trips) and merges them into the
+//! heavy stream in one linear pass — no output-sized sort in the dense
+//! regime, where the heavy pairs dominate.
 //!
 //! The counting variant ([`two_path_with_counts`]) rearranges the passes so
 //! that every pair's witnesses are counted against *disjoint* witness sets,
@@ -66,42 +72,90 @@ pub fn two_path_join_project_with_stats(
     record_partition(&mut stats, r, s, &heavy);
     let use_matrix = !heavy.is_degenerate() && heavy.cells() <= config.matrix_cell_cap;
     stats.heavy_core_matrix = Some(use_matrix);
-    let mut out = light_passes(r, s, delta1, delta2, threads, exec);
+    let mut light = light_passes(r, s, delta1, delta2, threads, exec);
 
-    if heavy.is_degenerate() {
+    // Every matrix backend yields its product row-major with ascending
+    // columns, and rows/columns map to ascending `heavy_x`/`heavy_z`: the
+    // heavy stream is already sorted and distinct.
+    let heavy_pairs = if heavy.is_degenerate() {
         // No heavy core: light passes already cover everything.
+        Vec::new()
     } else if !use_matrix {
-        // Memory guard: heavy core evaluated combinatorially.
-        heavy_expansion_fallback(r, s, &heavy, &mut out);
+        // Memory guard: heavy core evaluated combinatorially, its pairs
+        // sorted along with the light ones.
+        heavy_expansion_fallback(r, s, &heavy, &mut light);
+        Vec::new()
     } else {
+        let pair = |i: usize, j: usize| (heavy.heavy_x[i], heavy.heavy_z[j]);
         match heavy.resolve_backend(r, config.heavy_backend) {
             HeavyBackend::BitMatrix => {
                 let (m1, m2) = heavy.build_bit_matrices(r, s);
                 let prod = m1.bool_product(&m2);
-                for (i, j) in prod.iter_ones() {
-                    out.push((heavy.heavy_x[i], heavy.heavy_z[j]));
-                }
+                prod.iter_ones().map(|(i, j)| pair(i, j)).collect()
             }
             HeavyBackend::Sparse => {
                 let (m1, m2) = heavy.build_sparse_matrices(r, s);
                 let prod = m1.spgemm(&m2);
-                for (i, j, _) in prod.entries_at_least(0.5) {
-                    out.push((heavy.heavy_x[i], heavy.heavy_z[j]));
-                }
+                let mut out = Vec::with_capacity(prod.nnz());
+                out.extend(prod.entries_at_least(0.5).map(|(i, j, _)| pair(i, j)));
+                out
             }
             _ => {
                 let (m1, m2) = heavy.build_dense_matrices(r, s);
                 let prod = matmul_parallel_on(exec, &m1, &m2, threads);
-                for (i, j, _) in prod.entries_at_least(0.5) {
-                    out.push((heavy.heavy_x[i], heavy.heavy_z[j]));
-                }
+                // Entries are exact witness counts, so nonzero ⇔ ≥ 0.5.
+                let mut out = Vec::with_capacity(prod.nnz());
+                out.extend(prod.entries_at_least(0.5).map(|(i, j, _)| pair(i, j)));
+                out
             }
         }
-    }
+    };
+    debug_assert!(
+        heavy_pairs.windows(2).all(|w| w[0] < w[1]),
+        "heavy stream must be strictly increasing"
+    );
 
-    out.sort_unstable();
-    out.dedup();
-    (out, Some(stats))
+    light.sort_unstable();
+    light.dedup();
+    (merge_distinct(heavy_pairs, light), Some(stats))
+}
+
+/// Union of two strictly increasing pair lists, strictly increasing.
+///
+/// Walks the shorter list and copies the runs of the longer one between
+/// its elements in bulk (found by galloping search), so a few light pairs
+/// against a large heavy stream cost a `memcpy`, not an element-wise
+/// merge.
+fn merge_distinct(a: Vec<(Value, Value)>, b: Vec<(Value, Value)>) -> Vec<(Value, Value)> {
+    let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
+    if short.is_empty() {
+        return long;
+    }
+    let mut out = Vec::with_capacity(long.len() + short.len());
+    let mut rest = &long[..];
+    for &p in &short {
+        let k = gallop(rest, p);
+        out.extend_from_slice(&rest[..k]);
+        rest = &rest[k..];
+        if rest.first() == Some(&p) {
+            rest = &rest[1..];
+        }
+        out.push(p);
+    }
+    out.extend_from_slice(rest);
+    out
+}
+
+/// Index of the first element of sorted `s` that is `>= p`, probing
+/// `s[0], s[1], s[3], s[7], …` before a binary search: `O(log k)` for
+/// answer `k`.
+fn gallop(s: &[(Value, Value)], p: (Value, Value)) -> usize {
+    let mut bound = 1;
+    while bound <= s.len() && s[bound - 1] < p {
+        bound *= 2;
+    }
+    let lo = bound / 2;
+    lo + s[lo..bound.min(s.len())].partition_point(|&q| q < p)
 }
 
 /// Evaluates the 2-path query with exact per-pair witness counts,
@@ -836,6 +890,36 @@ mod tests {
     }
 
     #[test]
+    fn merge_distinct_unions_sorted_lists() {
+        let a = vec![(0, 1), (0, 3), (2, 0)];
+        let b = vec![(0, 0), (0, 3), (1, 9), (2, 0), (3, 3)];
+        assert_eq!(
+            merge_distinct(a.clone(), b.clone()),
+            vec![(0, 0), (0, 1), (0, 3), (1, 9), (2, 0), (3, 3)]
+        );
+        assert_eq!(merge_distinct(a.clone(), Vec::new()), a);
+        assert_eq!(merge_distinct(Vec::new(), b.clone()), b);
+        // Long against short, with runs, duplicates and both ends.
+        let long: Vec<(Value, Value)> = (0..100).map(|i| (i / 10, i % 10)).collect();
+        let short = vec![(0, 0), (0, 11), (3, 5), (9, 9), (12, 0)];
+        let mut want: Vec<(Value, Value)> = long.iter().chain(&short).copied().collect();
+        want.sort_unstable();
+        want.dedup();
+        assert_eq!(merge_distinct(long.clone(), short.clone()), want);
+        assert_eq!(merge_distinct(short, long), want);
+    }
+
+    #[test]
+    fn gallop_finds_the_lower_bound() {
+        let s: Vec<(Value, Value)> = (0..37).map(|i| (i, 0)).collect();
+        for p in 0..40 {
+            assert_eq!(gallop(&s, (p, 0)), (p as usize).min(37), "p={p}");
+            assert_eq!(gallop(&s, (p, 1)), (p as usize + 1).min(37), "p={p}+");
+        }
+        assert_eq!(gallop(&[], (0, 0)), 0);
+    }
+
+    #[test]
     fn empty_inputs() {
         let r = rel(&[]);
         let s = rel(&[(0, 0)]);
@@ -844,9 +928,11 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// All threshold choices must produce the reference result.
+        /// Every threshold choice, heavy backend (plus the memory-cap
+        /// fallback) and thread count must produce the reference result,
+        /// strictly increasing — the merge relies on sorted parts.
         #[test]
         fn any_deltas_match_reference(
             r_edges in proptest::collection::vec((0u32..20, 0u32..15), 1..80),
@@ -854,18 +940,35 @@ mod tests {
             d1 in 1u32..8,
             d2 in 1u32..8,
             threads in 1usize..3,
+            backend in 0usize..5,
+            dom in (3u32..14, 2u32..9),
         ) {
-            let r = rel(&r_edges);
-            let s = rel(&s_edges);
+            // Folding the edges onto a random smaller domain mixes dense
+            // cases, whose heavy cores are non-degenerate, with sparse ones.
+            let fold = |edges: &[(Value, Value)]| -> Vec<(Value, Value)> {
+                edges.iter().map(|&(x, y)| (x % dom.0, y % dom.1)).collect()
+            };
+            let r = rel(&fold(&r_edges));
+            let s = rel(&fold(&s_edges));
+            let backends = [
+                HeavyBackend::DenseF32,
+                HeavyBackend::Sparse,
+                HeavyBackend::BitMatrix,
+                HeavyBackend::Auto,
+                HeavyBackend::DenseF32,
+            ];
             let cfg = JoinConfig {
                 threads,
                 delta_override: Some((d1, d2)),
+                heavy_backend: backends[backend],
+                // Last slot: a one-cell cap forces the combinatorial
+                // heavy fallback.
+                matrix_cell_cap: if backend == 4 { 1 } else { JoinConfig::default().matrix_cell_cap },
                 ..JoinConfig::default()
             };
-            prop_assert_eq!(
-                two_path_join_project(&r, &s, &cfg),
-                SortMergeEngine.join_project(&r, &s)
-            );
+            let got = two_path_join_project(&r, &s, &cfg);
+            prop_assert!(got.windows(2).all(|w| w[0] < w[1]), "not strictly increasing");
+            prop_assert_eq!(got, SortMergeEngine.join_project(&r, &s));
         }
 
         /// Counting variant is exact for every pair, at any thresholds.

@@ -44,6 +44,9 @@ impl Client {
     }
 
     fn from_stream(stream: TcpStream) -> io::Result<Client> {
+        // Each request is one small frame the server must see at once;
+        // Nagle would hold it back waiting for the previous reply's ACK.
+        stream.set_nodelay(true)?;
         let write_half = stream.try_clone()?;
         Ok(Client {
             reader: BufReader::new(stream),
@@ -84,5 +87,19 @@ impl Client {
             ));
         }
         Ok(resp)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn connected_client_disables_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(client.reader.get_ref().nodelay().unwrap());
+        assert!(client.writer.get_ref().nodelay().unwrap());
     }
 }

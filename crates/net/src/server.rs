@@ -479,6 +479,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             );
             return;
         }
+        // Replies are single frames written as soon as they are ready;
+        // Nagle would delay each one behind the client's delayed ACK.
+        let _ = stream.set_nodelay(true);
         let client = next_client;
         next_client += 1;
         shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
@@ -748,6 +751,19 @@ mod tests {
         assert!(resp.body.starts_with("ok rows "), "{}", resp.body);
         let warm = c.call("query twopath R R").unwrap();
         assert!(warm.body.contains("cached true"), "{}", warm.body);
+        // The accepted stream has Nagle off, like the client's (the
+        // accept loop registers it just after spawning its reader).
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while server.shared.conns.lock().unwrap().is_empty() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "connection never registered"
+            );
+            std::thread::yield_now();
+        }
+        let conns = server.shared.conns.lock().unwrap();
+        assert!(conns.iter().all(|(s, _)| s.nodelay().unwrap()));
+        drop(conns);
 
         let bad = c.call("query warp R R").unwrap();
         assert_eq!(bad.status, Status::Err);

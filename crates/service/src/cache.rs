@@ -7,23 +7,22 @@
 //! addressable and is evicted by recency like any other cold entry.
 //! Cached rows are shared out as `Arc`s, so a hit is O(1) regardless of
 //! result size and hits are byte-identical to the cold execution that
-//! populated them.
+//! populated them. Rows are held in the flat [`Rows`] layout, so
+//! evicting or invalidating a result frees one buffer, not one per row;
+//! the cache keeps a running total of those payload bytes.
 
 use crate::maintain::DeltaResult;
 use crate::request::Request;
-use mmjoin_api::ExecStats;
-use mmjoin_storage::Value;
+use mmjoin_api::{ExecStats, Rows};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A materialised query result, shared between the cache and responses.
 #[derive(Debug, Clone)]
 pub struct CachedResult {
-    /// Output arity.
-    pub arity: usize,
     /// The rows, in the engine's emission order (maintained entries:
     /// sorted canonical order).
-    pub rows: Arc<Vec<Vec<Value>>>,
+    pub rows: Arc<Rows>,
     /// Per-row witness counts (0 where the query family emits none).
     pub counts: Arc<Vec<u32>>,
     /// The stats of the execution that produced this result.
@@ -36,6 +35,13 @@ pub struct CachedResult {
     /// Whether this entry was last refreshed by an in-place delta patch
     /// (as opposed to an execution, cold or eager).
     pub maintained: bool,
+}
+
+impl CachedResult {
+    /// Payload bytes of the rows and counts.
+    fn bytes(&self) -> u64 {
+        (std::mem::size_of_val(self.rows.values()) + std::mem::size_of_val(&self.counts[..])) as u64
+    }
 }
 
 #[derive(Debug)]
@@ -60,6 +66,8 @@ pub struct ResultCache {
     misses: u64,
     evictions: u64,
     invalidations: u64,
+    /// [`CachedResult::bytes`] summed over the held entries.
+    bytes: u64,
 }
 
 impl ResultCache {
@@ -73,6 +81,7 @@ impl ResultCache {
             misses: 0,
             evictions: 0,
             invalidations: 0,
+            bytes: 0,
         }
     }
 
@@ -116,19 +125,27 @@ impl ResultCache {
             // only runs on insert-at-capacity. Swap for a list-based LRU
             // if profiles ever show it.
             if let Some((&victim, _)) = self.slots.iter().min_by_key(|(_, s)| s.stamp) {
-                self.slots.remove(&victim);
+                self.remove(victim);
                 self.evictions += 1;
             }
         }
-        self.slots.insert(
-            key,
-            Slot {
-                request,
-                epochs,
-                value,
-                stamp: self.tick,
-            },
-        );
+        self.bytes += value.bytes();
+        let slot = Slot {
+            request,
+            epochs,
+            value,
+            stamp: self.tick,
+        };
+        if let Some(old) = self.slots.insert(key, slot) {
+            self.bytes -= old.value.bytes();
+        }
+    }
+
+    /// Removes `key`'s slot, keeping the byte total in step.
+    fn remove(&mut self, key: u64) -> Option<Slot> {
+        let slot = self.slots.remove(&key)?;
+        self.bytes -= slot.value.bytes();
+        Some(slot)
     }
 
     /// Removes and returns every entry whose request references relation
@@ -148,7 +165,7 @@ impl ResultCache {
         self.invalidations += keys.len() as u64;
         keys.into_iter()
             .map(|key| {
-                let slot = self.slots.remove(&key).expect("key just enumerated");
+                let slot = self.remove(key).expect("key just enumerated");
                 (key, slot.request, slot.epochs, slot.value)
             })
             .collect()
@@ -160,6 +177,7 @@ impl ResultCache {
     pub fn clear(&mut self) {
         self.invalidations += self.slots.len() as u64;
         self.slots.clear();
+        self.bytes = 0;
     }
 
     /// Entries currently held.
@@ -170,6 +188,11 @@ impl ResultCache {
     /// Whether the cache holds nothing.
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
+    }
+
+    /// Payload bytes (rows + counts) of the entries currently held.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
     }
 
     /// `(hits, misses, evictions, invalidations)` counters since
@@ -195,9 +218,10 @@ mod tests {
     use super::*;
 
     fn result(tag: u32) -> CachedResult {
+        let mut rows = Rows::new(2);
+        rows.push(&[tag, tag]);
         CachedResult {
-            arity: 2,
-            rows: Arc::new(vec![vec![tag, tag]]),
+            rows: Arc::new(rows),
             counts: Arc::new(vec![0]),
             stats: ExecStats::new("test", 1),
             truncated: false,
@@ -224,7 +248,7 @@ mod tests {
         assert!(probe(&mut c, 1, 1).is_none());
         put(&mut c, 1, 1);
         let hit = probe(&mut c, 1, 1).unwrap();
-        assert_eq!(hit.rows[0], vec![1, 1]);
+        assert_eq!(&hit.rows[0], &[1, 1]);
         assert_eq!(c.counters(), (1, 1, 0, 0));
     }
 
@@ -298,7 +322,27 @@ mod tests {
         put(&mut c, 2, 2);
         c.insert(1, req(1), vec![1], result(9));
         assert_eq!(c.len(), 2);
-        assert_eq!(probe(&mut c, 1, 1).unwrap().rows[0], vec![9, 9]);
+        assert_eq!(&probe(&mut c, 1, 1).unwrap().rows[0], &[9, 9]);
         assert!(probe(&mut c, 2, 2).is_some());
+    }
+
+    /// One entry: two u32 values of row plus one u32 count.
+    const ENTRY_BYTES: u64 = 12;
+
+    #[test]
+    fn bytes_follow_insert_evict_drain_and_clear() {
+        let mut c = ResultCache::new(2);
+        put(&mut c, 1, 1);
+        put(&mut c, 2, 2);
+        assert_eq!(c.bytes(), 2 * ENTRY_BYTES);
+        put(&mut c, 1, 9); // same key: replaced, not added
+        assert_eq!(c.bytes(), 2 * ENTRY_BYTES);
+        put(&mut c, 3, 3); // evicts one
+        assert_eq!(c.bytes(), 2 * ENTRY_BYTES);
+        c.insert(4, Request::similarity("S", 1), vec![1], result(4)); // evicts one
+        assert_eq!(c.drain_referencing("S").len(), 1);
+        assert_eq!(c.bytes(), ENTRY_BYTES);
+        c.clear();
+        assert_eq!(c.bytes(), 0);
     }
 }

@@ -533,7 +533,14 @@ fn run_stats(
 ) -> Result<String, String> {
     let cache = || {
         let (hits, misses, evictions, invalidations) = service.cache_counters();
-        (hits, misses, evictions, invalidations, service.cache_len())
+        (
+            hits,
+            misses,
+            evictions,
+            invalidations,
+            service.cache_len(),
+            service.cache_bytes(),
+        )
     };
     if json {
         let body = match scope {
@@ -567,10 +574,10 @@ fn run_stats(
             .ok_or_else(|| "no network front end attached (stats net needs mmjoin-netd)".into()),
         StatsScope::Executor => Ok(format!("ok {}", service.executor_stats())),
         StatsScope::Cache => {
-            let (hits, misses, evictions, invalidations, entries) = cache();
+            let (hits, misses, evictions, invalidations, entries, bytes) = cache();
             Ok(format!(
                 "ok cache hits {hits}, misses {misses}, evictions {evictions}, \
-                 invalidations {invalidations}, entries {entries}"
+                 invalidations {invalidations}, entries {entries}, bytes {bytes}"
             ))
         }
     }
@@ -621,11 +628,11 @@ fn executor_json(e: &ExecutorStats) -> String {
 
 /// The result-cache counters as a JSON object.
 fn cache_json(
-    (hits, misses, evictions, invalidations, entries): (u64, u64, u64, u64, usize),
+    (hits, misses, evictions, invalidations, entries, bytes): (u64, u64, u64, u64, usize, u64),
 ) -> String {
     format!(
         "{{\"hits\":{hits},\"misses\":{misses},\"evictions\":{evictions},\
-         \"invalidations\":{invalidations},\"entries\":{entries}}}"
+         \"invalidations\":{invalidations},\"entries\":{entries},\"bytes\":{bytes}}}"
     )
 }
 
@@ -1005,6 +1012,97 @@ mod tests {
         assert_eq!(
             execute(&service(), Command::Shutdown).unwrap(),
             "ok shutting down"
+        );
+    }
+
+    /// `run_line` output with the wall-clock seconds field masked.
+    fn rendered(s: &Service, line: &str) -> String {
+        let ans = run_line(s, line).unwrap();
+        let (head, rows) = ans.split_once('\n').expect("`show` renders rows");
+        let head: Vec<&str> = head
+            .split(' ')
+            .map(|t| match t.strip_suffix('s').map(str::parse::<f64>) {
+                Some(Ok(_)) => "<secs>",
+                _ => t,
+            })
+            .collect();
+        format!("{}\n{rows}", head.join(" "))
+    }
+
+    /// `show` output is pinned byte for byte (seconds masked): the flat
+    /// row layout must render exactly what per-row vectors rendered.
+    #[test]
+    fn show_renders_golden_rows() {
+        let s = service();
+        s.register(
+            "T",
+            Relation::from_edges((0..24u32).map(|i| (i % 4, i % 9))),
+        );
+        let pairs = "\n  (0, 0)\n  (0, 1)\n  (0, 2)\n  (0, 3)\n  (0, 4)\n  … 25 more";
+        let triples =
+            "\n  (0, 0, 0)\n  (0, 0, 1)\n  (0, 0, 2)\n  (0, 0, 3)\n  (0, 1, 0)\n  … 115 more";
+        let golden = [
+            (
+                "query twopath R S show 5",
+                format!("ok rows 30 engine Non-MMJoin cached false <secs>{pairs}"),
+            ),
+            (
+                "query twopath R S engine MMJoin show 5",
+                format!("ok rows 30 engine MMJoin cached false <secs>{pairs}"),
+            ),
+            (
+                "query twopath R S counts show 5",
+                "ok rows 30 engine MMJoin cached false <secs>\n  (0, 0) x4\n  (0, 1) x4\n  \
+                 (0, 2) x4\n  (0, 3) x5\n  (0, 4) x5\n  … 25 more"
+                    .to_string(),
+            ),
+            (
+                "query star R S T show 5",
+                format!("ok rows 120 engine Non-MMJoin cached false <secs>{triples}"),
+            ),
+            (
+                "query star R S T engine MMJoin show 5",
+                format!("ok rows 120 engine MMJoin cached false <secs>{triples}"),
+            ),
+        ];
+        for (line, want) in golden {
+            assert_eq!(rendered(&s, line), want, "{line}");
+        }
+    }
+
+    /// `stats cache` and its JSON report the cached payload bytes: two
+    /// `u32` values plus one `u32` count per row of a 2-path result.
+    #[test]
+    fn stats_cache_reports_payload_bytes() {
+        let s = service();
+        let rows: u64 = run_line(&s, "query twopath R S")
+            .unwrap()
+            .split(' ')
+            .nth(2)
+            .unwrap()
+            .parse()
+            .unwrap();
+        let want = rows * 12;
+        let text = run_line(&s, "stats cache").unwrap();
+        assert!(
+            text.ends_with(&format!("entries 1, bytes {want}")),
+            "{text}"
+        );
+        let json = run_line(&s, "stats cache --json").unwrap();
+        assert!(
+            json.contains(&format!("\"entries\":1,\"bytes\":{want}}}")),
+            "{json}"
+        );
+        // A staged insert drains the entry and re-inserts the refreshed
+        // result: its bytes replace the old ones rather than add to them.
+        run_line(&s, "insert R 0,6").unwrap();
+        let ans = run_line(&s, "query twopath R S").unwrap();
+        assert!(ans.contains("cached true"), "{ans}");
+        let rows: u64 = ans.split(' ').nth(2).unwrap().parse().unwrap();
+        let text = run_line(&s, "stats cache").unwrap();
+        assert!(
+            text.ends_with(&format!("entries 1, bytes {}", rows * 12)),
+            "{text}"
         );
     }
 

@@ -35,7 +35,7 @@
 //!   fallback for non-maintainable shapes (star/similarity/containment,
 //!   limits, pinned engines) and over-budget recomputes.
 
-use mmjoin_api::{DeltaSink, Sink};
+use mmjoin_api::{DeltaSink, Rows, Sink};
 use mmjoin_storage::{NormalizedDelta, Relation, Value};
 use std::collections::BTreeMap;
 
@@ -146,16 +146,17 @@ impl DeltaResult {
         true
     }
 
-    /// Materialises the rows with support `≥ min_count`, in sorted order.
-    /// `with_counts` controls whether the per-row counts column carries
-    /// the supports or the uncounted-family placeholder zeros.
-    pub fn rows(&self, min_count: u32, with_counts: bool) -> (Vec<Vec<Value>>, Vec<u32>) {
+    /// Materialises the rows with support `≥ min_count`, in sorted order,
+    /// in the flat layout the cache serves. `with_counts` controls whether
+    /// the per-row counts column carries the supports or the
+    /// uncounted-family placeholder zeros.
+    pub fn rows(&self, min_count: u32, with_counts: bool) -> (Rows, Vec<u32>) {
         let min = min_count.max(1);
-        let mut rows = Vec::new();
+        let mut rows = Rows::new(2);
         let mut counts = Vec::new();
         for (&(x, z), &c) in &self.support {
             if c >= min {
-                rows.push(vec![x, z]);
+                rows.push(&[x, z]);
                 counts.push(if with_counts { c } else { 0 });
             }
         }
@@ -415,7 +416,7 @@ mod tests {
         support.insert((2, 2), 1);
         let result = DeltaResult { support };
         let (rows, counts) = result.rows(2, true);
-        assert_eq!(rows, vec![vec![0, 1]]);
+        assert_eq!(rows.values(), &[0, 1]);
         assert_eq!(counts, vec![3]);
         let (rows, counts) = result.rows(1, false);
         assert_eq!(rows.len(), 2);

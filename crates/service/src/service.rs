@@ -12,7 +12,9 @@ use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::planner::{Planner, Selection, SelectionReason};
 use crate::request::{Fnv1a, QuerySpec, Request};
 use mmjoin_api::ir::{Atom, QueryGraph};
-use mmjoin_api::{DeltaSink, EngineRegistry, ExecStats, LimitSink, Query, QueryFamily, VecSink};
+use mmjoin_api::{
+    DeltaSink, EngineRegistry, ExecStats, LimitSink, Query, QueryFamily, Rows, Sink, VecSink,
+};
 use mmjoin_core::plan::{FinalStage, GeneralPlan, NodeSource, PlanStep, ProjCols};
 use mmjoin_core::{choose_thresholds, plan_general, JoinConfig, PlanChoice};
 use mmjoin_executor::{Executor, ExecutorStats};
@@ -108,13 +110,12 @@ impl Default for ServiceConfig {
 /// One answered query.
 #[derive(Debug, Clone)]
 pub struct Response {
-    /// Output rows, in the engine's emission order. Shared with the
-    /// cache, so a hit returns the *same* buffer the cold run produced.
-    pub rows: Arc<Vec<Vec<Value>>>,
+    /// Output rows (with their arity), in the engine's emission order,
+    /// in one flat buffer. Shared with the cache, so a hit returns the
+    /// *same* buffer the cold run produced.
+    pub rows: Arc<Rows>,
     /// Per-row witness counts (0 where the family emits none).
     pub counts: Arc<Vec<u32>>,
-    /// Output arity.
-    pub arity: usize,
     /// The stats of the execution that produced these rows (for a cache
     /// hit: the original cold execution).
     pub stats: ExecStats,
@@ -630,6 +631,15 @@ impl Service {
             .len()
     }
 
+    /// Payload bytes (rows + counts) of the results currently cached.
+    pub fn cache_bytes(&self) -> u64 {
+        self.inner
+            .cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .bytes()
+    }
+
     /// The engine registry this service executes on.
     pub fn registry(&self) -> &EngineRegistry {
         &self.inner.registry
@@ -935,7 +945,6 @@ fn maintain_entry(
     }
     let (rows, counts) = support.rows(min_count, with_counts);
     Some(CachedResult {
-        arity: 2,
         stats: ExecStats::new(MAINTAINED_ENGINE, rows.len() as u64),
         rows: Arc::new(rows),
         counts: Arc::new(counts),
@@ -970,7 +979,6 @@ fn recompute_entry(
     let support = DeltaResult::from_signed(sink.into_deltas());
     let (rows, counts) = support.rows(min_count, with_counts);
     Some(CachedResult {
-        arity: 2,
         stats: ExecStats {
             rows: rows.len() as u64,
             ..stats
@@ -1150,7 +1158,6 @@ fn process(inner: &Inner, request: Request) -> Result<Response, ServiceError> {
         return Ok(Response {
             rows: hit.rows,
             counts: hit.counts,
-            arity: hit.arity,
             stats: hit.stats,
             selection: None,
             cached: true,
@@ -1175,6 +1182,7 @@ fn process(inner: &Inner, request: Request) -> Result<Response, ServiceError> {
     let (sink, stats, truncated) = match request.limit {
         Some(limit) => {
             let mut sink = LimitSink::new(VecSink::new(), limit);
+            sink.begin(query.output_arity());
             let stats = inner
                 .registry
                 .execute(&selection.engine, &query, &mut sink)?;
@@ -1183,6 +1191,7 @@ fn process(inner: &Inner, request: Request) -> Result<Response, ServiceError> {
         }
         None => {
             let mut sink = VecSink::new();
+            sink.begin(query.output_arity());
             let stats = inner
                 .registry
                 .execute(&selection.engine, &query, &mut sink)?;
@@ -1192,7 +1201,6 @@ fn process(inner: &Inner, request: Request) -> Result<Response, ServiceError> {
     drop(exec_span);
 
     let result = CachedResult {
-        arity: query.output_arity(),
         rows: Arc::new(sink.rows),
         counts: Arc::new(sink.counts),
         stats: stats.clone(),
@@ -1209,7 +1217,6 @@ fn process(inner: &Inner, request: Request) -> Result<Response, ServiceError> {
     Ok(Response {
         rows: result.rows,
         counts: result.counts,
-        arity: result.arity,
         stats,
         selection: Some(selection.reason),
         cached: false,
@@ -1246,6 +1253,9 @@ mod tests {
         assert_eq!(cold.rows, warm.rows);
         assert_eq!(cold.counts, warm.counts);
         assert_eq!(cold.cache_key, warm.cache_key);
+        // A hit hands out the cold run's buffers themselves, not copies.
+        assert!(Arc::ptr_eq(&cold.rows, &warm.rows));
+        assert!(Arc::ptr_eq(&cold.counts, &warm.counts));
         let m = s.metrics();
         assert_eq!(m.queries_served, 2);
         assert_eq!(m.cache_hits, 1);
@@ -1375,7 +1385,7 @@ mod tests {
         assert!(!limited.cached, "different fingerprint, no false hit");
         assert!(limited.truncated);
         assert_eq!(limited.rows.len(), 2);
-        assert_eq!(&limited.rows[..], &full.rows[..2]);
+        assert_eq!(limited.rows.to_vecs(), full.rows.to_vecs()[..2]);
         // The limited entry is cached under its own key.
         let again = s.query(Request::two_path("R", "R").limit(2)).unwrap();
         assert!(again.cached);
@@ -1387,12 +1397,12 @@ mod tests {
         let s = service();
         s.register("R", tiny());
         let star = s.query(Request::star(["R", "R", "R"])).unwrap();
-        assert_eq!(star.arity, 3);
+        assert_eq!(star.rows.arity(), 3);
         assert!(!star.rows.is_empty());
         let sim = s.query(Request::similarity("R", 1)).unwrap();
-        assert_eq!(sim.arity, 2);
+        assert_eq!(sim.rows.arity(), 2);
         let scj = s.query(Request::containment("R")).unwrap();
-        assert_eq!(scj.arity, 2);
+        assert_eq!(scj.rows.arity(), 2);
     }
 
     #[test]
@@ -1582,7 +1592,7 @@ mod tests {
     /// Sorted copy of response rows (maintained entries serve canonical
     /// sorted order; engines serve emission order).
     fn sorted_rows(response: &Response) -> Vec<Vec<Value>> {
-        let mut rows = (*response.rows).clone();
+        let mut rows = response.rows.to_vecs();
         rows.sort();
         rows
     }
@@ -1659,13 +1669,43 @@ mod tests {
             let mut v: Vec<(Vec<Value>, u32)> = r
                 .rows
                 .iter()
-                .cloned()
+                .map(<[Value]>::to_vec)
                 .zip(r.counts.iter().copied())
                 .collect();
             v.sort();
             v
         };
         assert_eq!(pair_counts(&maintained), pair_counts(&expected));
+    }
+
+    /// A maintained entry serves the same flat buffer contents a
+    /// recompute produces: the support map's sorted order is the order
+    /// MMJoin emits, and counts line up row for row.
+    #[test]
+    fn maintained_rows_equal_recompute_in_flat_layout() {
+        let edges = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 1), (3, 2)];
+        for request in [
+            Request::two_path("R", "R"),
+            Request::two_path_counts("R", "R", 1),
+        ] {
+            let s = service();
+            s.register("R", Relation::from_edges(edges));
+            s.query(request.clone()).unwrap();
+            s.insert("R", [(4, 2)]).unwrap(); // builds support (recompute)
+            assert_eq!(s.delete("R", [(1, 1)]).unwrap().maintained, 1);
+            let maintained = s.query(request.clone()).unwrap();
+            assert!(maintained.maintained);
+
+            let fresh = service();
+            let mut now: Vec<(Value, Value)> = edges.to_vec();
+            now.retain(|&e| e != (1, 1));
+            now.push((4, 2));
+            fresh.register("R", Relation::from_edges(now));
+            let recomputed = fresh.query(request.on_engine("MMJoin")).unwrap();
+            assert_eq!(maintained.rows.arity(), 2);
+            assert_eq!(maintained.rows.values(), recomputed.rows.values());
+            assert_eq!(maintained.counts, recomputed.counts);
+        }
     }
 
     #[test]
@@ -1749,7 +1789,7 @@ mod tests {
 
         let cold = s.query(Request::chain(["R", "S", "T"])).unwrap();
         assert!(!cold.cached);
-        assert_eq!(cold.arity, 2);
+        assert_eq!(cold.rows.arity(), 2);
         assert_eq!(cold.stats.engine, "MMJoin");
         assert!(matches!(
             cold.selection,
@@ -1809,7 +1849,7 @@ mod tests {
         let chain = s.query(Request::chain(["R", "S"])).unwrap();
         let classic = s.query(Request::two_path("R", "St")).unwrap();
         let sorted = |resp: &Response| {
-            let mut rows = (*resp.rows).clone();
+            let mut rows = resp.rows.to_vecs();
             rows.sort();
             rows
         };
@@ -1876,7 +1916,7 @@ mod tests {
         let r = tiny();
         let direct =
             mmjoin_core::star_join_project_mm(&[&r, &r, &r], &mmjoin_core::JoinConfig::default());
-        assert_eq!(*via_service.rows, direct);
+        assert_eq!(via_service.rows.to_vecs(), direct);
     }
 
     #[test]

@@ -72,7 +72,7 @@ fn streaming_sink_agrees_with_materializing_sink() {
             );
             assert_eq!(vec_stats.rows, count_stats.rows);
             let from_each: Vec<Vec<Value>> = streamed.iter().map(|(r, _)| r.clone()).collect();
-            assert_eq!(vec_sink.rows, from_each, "{}", engine.name());
+            assert_eq!(vec_sink.rows.to_vecs(), from_each, "{}", engine.name());
             let counts_each: Vec<u32> = streamed.iter().map(|&(_, c)| c).collect();
             assert_eq!(vec_sink.counts, counts_each, "{}", engine.name());
         }
@@ -94,10 +94,10 @@ fn star_query_through_registry() {
     for e in engines {
         let mut sink = VecSink::new();
         e.execute(&q, &mut sink).unwrap();
-        assert_eq!(sink.arity, 3, "{}", e.name());
+        assert_eq!(sink.rows.arity(), 3, "{}", e.name());
         match &reference {
-            None => reference = Some(sink.rows),
-            Some(r0) => assert_eq!(&sink.rows, r0, "{}", e.name()),
+            None => reference = Some(sink.rows.to_vecs()),
+            Some(r0) => assert_eq!(&sink.rows.to_vecs(), r0, "{}", e.name()),
         }
     }
 }

@@ -25,7 +25,7 @@ fn maintaining_service() -> Service {
 }
 
 fn sorted_rows(response: &Response) -> Vec<Vec<Value>> {
-    let mut rows = (*response.rows).clone();
+    let mut rows = response.rows.to_vecs();
     rows.sort();
     rows
 }
@@ -34,7 +34,7 @@ fn sorted_counted_rows(response: &Response) -> Vec<(Vec<Value>, u32)> {
     let mut rows: Vec<(Vec<Value>, u32)> = response
         .rows
         .iter()
-        .cloned()
+        .map(<[Value]>::to_vec)
         .zip(response.counts.iter().copied())
         .collect();
     rows.sort();

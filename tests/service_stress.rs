@@ -8,7 +8,7 @@
 //! must come out of the storm fully functional — no poisoned lock, no
 //! deadlock, warm cache intact.
 
-use mmjoin::{JoinConfig, Relation, Request, Service, ServiceConfig, ServiceError};
+use mmjoin::{JoinConfig, Relation, Request, Rows, Service, ServiceConfig, ServiceError};
 
 const CLIENTS: u32 = 4;
 
@@ -22,8 +22,8 @@ fn shared_relation() -> Relation {
     Relation::from_edges((0..400u32).map(|j| ((j * 13) % 60, (j * 5) % 30)))
 }
 
-fn sorted(rows: &[Vec<u32>]) -> Vec<Vec<u32>> {
-    let mut rows = rows.to_vec();
+fn sorted(rows: &Rows) -> Vec<Vec<u32>> {
+    let mut rows = rows.to_vecs();
     rows.sort();
     rows
 }
