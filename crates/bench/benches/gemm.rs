@@ -2,9 +2,9 @@
 //! (single-core vs dimension, and vs core count).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mmjoin_matrix::strassen::strassen;
+use mmjoin_executor::Executor;
 use mmjoin_matrix::{
-    available_kernels, matmul_parallel, matmul_with_kernel, strassen_parallel, BitMatrix,
+    available_kernels, matmul, matmul_parallel_on, matmul_parallel_with_kernel_on, BitMatrix,
     DenseMatrix,
 };
 
@@ -21,7 +21,7 @@ fn fig3a_single_core(c: &mut Criterion) {
         let b = adjacency(n, 1);
         g.throughput(Throughput::Elements((n * n * n) as u64));
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
-            bench.iter(|| matmul_parallel(&a, &b, 1));
+            bench.iter(|| matmul(&a, &b));
         });
     }
     g.finish();
@@ -41,16 +41,16 @@ fn fig3b_multicore(c: &mut Criterion) {
             BenchmarkId::from_parameter(cores),
             &cores,
             |bench, &cores| {
-                bench.iter(|| matmul_parallel(&a, &b, cores));
+                bench.iter(|| matmul_parallel_on(Executor::global(), &a, &b, cores));
             },
         );
     }
     g.finish();
 }
 
-/// Every dispatchable kernel (scalar always; AVX2/AVX-512 under
-/// `--features simd` on capable hardware) on the same product — the
-/// per-kernel ladder behind the crossover gate's ≥ 1.5× requirement.
+/// Every dispatchable kernel (scalar always; AVX2/AVX-512 on x86-64
+/// hardware that reports them) on the same product — the per-kernel
+/// ladder behind the crossover gate's ≥ 1.25× requirement.
 fn kernel_ladder(c: &mut Criterion) {
     let mut g = c.benchmark_group("gemm_kernel_ladder");
     for n in [256usize, 512] {
@@ -59,7 +59,8 @@ fn kernel_ladder(c: &mut Criterion) {
         g.throughput(Throughput::Elements((n * n * n) as u64));
         for kernel in available_kernels() {
             g.bench_with_input(BenchmarkId::new(kernel.name(), n), &n, |bench, _| {
-                bench.iter(|| matmul_with_kernel(kernel, &a, &b));
+                bench
+                    .iter(|| matmul_parallel_with_kernel_on(Executor::global(), kernel, &a, &b, 1));
             });
         }
     }
@@ -71,19 +72,7 @@ fn backend_ablation(c: &mut Criterion) {
     let n = 512usize;
     let a = adjacency(n, 0);
     let b = adjacency(n, 1);
-    g.bench_function("f32_blocked", |bench| {
-        bench.iter(|| matmul_parallel(&a, &b, 1))
-    });
-    g.bench_function("strassen_cutoff128", |bench| {
-        bench.iter(|| strassen(&a, &b, 128))
-    });
-    let cores = std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(4)
-        .min(7); // seven Strassen leaves cap the useful parallelism
-    g.bench_function("strassen_parallel_leaves", |bench| {
-        bench.iter(|| strassen_parallel(&a, &b, 128, cores))
-    });
+    g.bench_function("f32_blocked", |bench| bench.iter(|| matmul(&a, &b)));
     let mut ab = BitMatrix::zeros(n, n);
     let mut bb = BitMatrix::zeros(n, n);
     for i in 0..n {

@@ -12,9 +12,10 @@
 //!
 //! The table also carries two `gemm n=…` rows timing the dispatched GEMM
 //! kernel against the scalar fallback on the same shapes the cost model
-//! samples; under `--features simd` the gate requires the ≥ 1.25×
-//! speedup that justifies shifting the crossover at all. `par n=… t=…`
-//! rows time
+//! samples; whenever a SIMD kernel is active (the default on x86-64
+//! hosts with AVX2 or AVX-512F) the gate requires the ≥ 1.25× speedup
+//! that justifies shifting the crossover at all, and with
+//! `MMJOIN_KERNEL=scalar` that clause is dormant. `par n=… t=…` rows time
 //! the tiled multi-core scheduler against the serial kernel at the
 //! requested thread counts and record whether the products are
 //! bit-identical — the gate requires `identical` always, plus a scaling
@@ -29,8 +30,9 @@ use crate::report::Table;
 use crate::timed_median;
 use mmjoin::{CountSink, Engine, JoinConfig, MmJoinEngine, Query, Relation};
 use mmjoin_core::{choose_thresholds, PlanChoice};
+use mmjoin_executor::Executor;
 use mmjoin_matrix::{
-    active_kernel, matmul_parallel_with_kernel, matmul_with_kernel, CostModel, DenseMatrix, Kernel,
+    active_kernel, matmul_parallel_with_kernel_on, CostModel, DenseMatrix, Kernel,
 };
 
 /// Multipliers applied to the *derived* crossover factor to build the
@@ -191,9 +193,11 @@ pub fn crossover_sweep(config: JoinConfig, scale: f64, trials: usize, threads: u
     }
 
     // Kernel-speedup rows: scalar fallback vs the dispatched kernel on
-    // 0/1 matrices of calibration-order sizes. Under the scalar build
-    // both columns time the same kernel (speedup 1×) and the gate's
-    // ≥ 1.25× clause is dormant.
+    // 0/1 matrices of calibration-order sizes. With the scalar kernel
+    // active (`MMJOIN_KERNEL=scalar`, or a CPU without AVX2) both columns
+    // time the same kernel (speedup 1×) and the gate's ≥ 1.25× clause is
+    // dormant.
+    let exec = Executor::global();
     for n in GEMM_SIZES {
         // Density 1/4 — the bench suite's `adjacency()` density, and what
         // the sweep's own heavy cores run at near the crossover
@@ -204,9 +208,11 @@ pub fn crossover_sweep(config: JoinConfig, scale: f64, trials: usize, threads: u
         // than the multi-ms crossover points; the extra runs are cheap.
         let gemm_trials = trials.max(3) * 3;
         let (_, t_scalar) = timed_median(2, gemm_trials, || {
-            matmul_with_kernel(Kernel::Scalar, &a, &b)
+            matmul_parallel_with_kernel_on(exec, Kernel::Scalar, &a, &b, 1)
         });
-        let (_, t_active) = timed_median(2, gemm_trials, || matmul_with_kernel(kernel, &a, &b));
+        let (_, t_active) = timed_median(2, gemm_trials, || {
+            matmul_parallel_with_kernel_on(exec, kernel, &a, &b, 1)
+        });
         t.push_row(
             format!("gemm n={n}"),
             vec![
@@ -242,10 +248,12 @@ pub fn crossover_sweep(config: JoinConfig, scale: f64, trials: usize, threads: u
     let a = DenseMatrix::from_fn(n, n, |i, j| ((i * 31 + j * 17) % 97 + 1) as f32);
     let b = DenseMatrix::from_fn(n, n, |i, j| ((i * 13 + j * 29) % 89 + 1) as f32);
     let par_trials = trials.max(2);
-    let (serial, t_serial) = timed_median(1, par_trials, || matmul_with_kernel(kernel, &a, &b));
+    let (serial, t_serial) = timed_median(1, par_trials, || {
+        matmul_parallel_with_kernel_on(exec, kernel, &a, &b, 1)
+    });
     for t_req in t_list {
         let (par, t_par) = timed_median(1, par_trials, || {
-            matmul_parallel_with_kernel(kernel, &a, &b, t_req)
+            matmul_parallel_with_kernel_on(exec, kernel, &a, &b, t_req)
         });
         let identical = par.data() == serial.data();
         t.push_row(

@@ -14,7 +14,8 @@ use mmjoin::{
 };
 use mmjoin_bsi::{random_workload, simulate_batching, BsiStrategy};
 use mmjoin_datagen::DatasetKind;
-use mmjoin_matrix::{matmul_parallel, DenseMatrix};
+use mmjoin_executor::Executor;
+use mmjoin_matrix::{matmul, matmul_parallel_on, DenseMatrix};
 use mmjoin_ssj::{unordered_ssj, SizeAwarePPOpts, SsjAlgorithm};
 
 /// Runs `query` on `engine`, returning `(stats, seconds)` without
@@ -77,12 +78,12 @@ pub fn fig3a() -> Table {
     // Warm up caches/frequency so the first row is not an outlier.
     {
         let a = DenseMatrix::from_fn(256, 256, |i, j| ((i + j) % 2) as f32);
-        std::hint::black_box(matmul_parallel(&a, &a, 1));
+        std::hint::black_box(matmul(&a, &a));
     }
     for &n in &[256usize, 384, 512, 768, 1024, 1536] {
         let a = DenseMatrix::from_fn(n, n, |i, j| ((i + j) % 3 == 0) as u8 as f32);
         let b = DenseMatrix::from_fn(n, n, |i, j| ((i * j) % 5 == 0) as u8 as f32);
-        let (_, secs) = timed(|| std::hint::black_box(matmul_parallel(&a, &b, 1)));
+        let (_, secs) = timed(|| std::hint::black_box(matmul(&a, &b)));
         let gflops = 2.0 * (n as f64).powi(3) / secs / 1e9;
         t.push_row(n.to_string(), vec![fmt_secs(secs), format!("{gflops:.2}")]);
     }
@@ -108,7 +109,9 @@ pub fn fig3b() -> Table {
             let b = DenseMatrix::from_fn(N, N, |i, j| ((i * j) % 5 == 0) as u8 as f32);
             (a, b)
         });
-        let (_, mult) = timed(|| std::hint::black_box(matmul_parallel(&ab.0, &ab.1, cores)));
+        let (_, mult) = timed(|| {
+            std::hint::black_box(matmul_parallel_on(Executor::global(), &ab.0, &ab.1, cores))
+        });
         if cores == 1 {
             base = mult;
         }

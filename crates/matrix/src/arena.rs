@@ -16,8 +16,8 @@
 
 use std::cell::RefCell;
 
-/// Buffers retained per thread; two covers the deepest practical nesting
-/// (a Strassen leaf's GEMM inside an engine's product).
+/// Buffers retained per thread; two covers a nested lease (a second
+/// product started on a thread while its first slab is still leased).
 const POOL_SLOTS: usize = 2;
 
 /// Largest buffer (in `f32` elements) worth pinning to a thread between

@@ -6,48 +6,37 @@
 //! (`C[i][j] = ⋁_k A[i][k] ∧ B[k][j]`) does 64 columns per word operation:
 //! for every set bit `A[i][k]`, OR row `k` of `B` into row `i` of `C`.
 //!
-//! This is an extension over the paper's prototype (which always used SGEMM)
-//! and is ablated in `bench/ablation`.
+//! This is an extension over the paper's prototype (which always used
+//! SGEMM); the 2-path engine's bit-matrix heavy backend runs on it.
 //!
 //! The row-OR hot loop is *widened*: words are OR-ed in unrolled blocks of
 //! [`OR_BLOCK`] (vectorizable to two 256-bit or one 512-bit operation per
-//! step), and under the `simd` feature the block runs as explicit AVX2 /
-//! AVX-512F vector ORs picked by the same runtime detection as the GEMM
-//! dispatch ladder.
+//! step), and on x86-64 the block runs as explicit AVX2 / AVX-512F vector
+//! ORs whenever [`active_kernel`] is the matching GEMM kernel — one
+//! detection (and one `MMJOIN_KERNEL` override) governs both products.
+
+use crate::kernel::{active_kernel, Kernel};
 
 /// Words OR-ed per unrolled step of the widened row-OR loop.
 pub const OR_BLOCK: usize = 8;
 
 /// `dst[i] |= src[i]` over whole rows — the inner operation of
-/// [`BitMatrix::bool_product`], widened to [`OR_BLOCK`]-word blocks.
+/// [`BitMatrix::bool_product`], widened to [`OR_BLOCK`]-word blocks and
+/// routed by `kind` (a kernel from [`crate::available_kernels`]).
 #[inline]
-fn or_words(dst: &mut [u64], src: &[u64]) {
+fn or_words(kind: Kernel, dst: &mut [u64], src: &[u64]) {
     debug_assert_eq!(dst.len(), src.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        use std::sync::OnceLock;
-        static LEVEL: OnceLock<u8> = OnceLock::new();
-        let level = *LEVEL.get_or_init(|| {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                2
-            } else if std::arch::is_x86_feature_detected!("avx2") {
-                1
-            } else {
-                0
-            }
-        });
-        if level == 2 {
-            // SAFETY: AVX-512F confirmed at runtime above.
-            unsafe { or_words_avx512(dst, src) };
-            return;
-        }
-        if level == 1 {
-            // SAFETY: AVX2 confirmed at runtime above.
-            unsafe { or_words_avx2(dst, src) };
-            return;
-        }
+    match kind {
+        Kernel::Scalar => or_words_scalar(dst, src),
+        // SAFETY: `Avx512` is only available when the CPU reports
+        // AVX-512F at runtime.
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        Kernel::Avx512 => unsafe { or_words_avx512(dst, src) },
+        // SAFETY: `Avx2` is only available when the CPU reports AVX2
+        // (and FMA) at runtime.
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        Kernel::Avx2 => unsafe { or_words_avx2(dst, src) },
     }
-    or_words_scalar(dst, src);
 }
 
 /// Unrolled scalar fallback: [`OR_BLOCK`] independent ORs per step give
@@ -68,7 +57,7 @@ fn or_words_scalar(dst: &mut [u64], src: &[u64]) {
 
 /// # Safety
 /// Requires AVX2 at runtime.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(all(target_arch = "x86_64", not(miri)))]
 #[target_feature(enable = "avx2")]
 unsafe fn or_words_avx2(dst: &mut [u64], src: &[u64]) {
     use std::arch::x86_64::*;
@@ -94,7 +83,7 @@ unsafe fn or_words_avx2(dst: &mut [u64], src: &[u64]) {
 
 /// # Safety
 /// Requires AVX-512F at runtime.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(all(target_arch = "x86_64", not(miri)))]
 #[target_feature(enable = "avx512f")]
 unsafe fn or_words_avx512(dst: &mut [u64], src: &[u64]) {
     use std::arch::x86_64::*;
@@ -174,6 +163,11 @@ impl BitMatrix {
     /// # Panics
     /// Panics if inner dimensions disagree.
     pub fn bool_product(&self, other: &BitMatrix) -> BitMatrix {
+        self.bool_product_with(active_kernel(), other)
+    }
+
+    /// [`BitMatrix::bool_product`] with the row OR routed by `kind`.
+    fn bool_product_with(&self, kind: Kernel, other: &BitMatrix) -> BitMatrix {
         assert_eq!(self.cols, other.rows, "inner dimensions must agree");
         let mut c = BitMatrix::zeros(self.rows, other.cols);
         for i in 0..self.rows {
@@ -185,7 +179,7 @@ impl BitMatrix {
                     let k = wk * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
                     let b_row = &other.words[k * other.stride..(k + 1) * other.stride];
-                    or_words(c_row, b_row);
+                    or_words(kind, c_row, b_row);
                 }
             }
         }
@@ -317,7 +311,7 @@ mod tests {
 
     /// The widened OR loop (full blocks + word remainder) agrees with a
     /// per-bit reference across widths straddling word and block
-    /// boundaries.
+    /// boundaries, under every available OR routing.
     #[test]
     fn widened_or_matches_per_bit_reference_on_edge_widths() {
         let mut rng = StdRng::seed_from_u64(17);
@@ -345,6 +339,13 @@ mod tests {
                     let want = (0..k).any(|x| a.get(i, x) && b.get(x, j));
                     assert_eq!(c.get(i, j), want, "cols={cols} ({i},{j})");
                 }
+            }
+            // The dispatched vector OR and every other available routing
+            // agree word for word with the scalar path.
+            let scalar = a.bool_product_with(Kernel::Scalar, &b);
+            assert_eq!(c, scalar, "cols={cols}: active kernel vs scalar");
+            for kind in crate::available_kernels() {
+                assert_eq!(a.bool_product_with(kind, &b), scalar, "cols={cols} {kind}");
             }
         }
     }

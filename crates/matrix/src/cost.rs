@@ -15,8 +15,9 @@
 //! threshold-index sums.
 
 use crate::dense::DenseMatrix;
-use crate::gemm::matmul_parallel;
+use crate::gemm::matmul_parallel_on;
 use crate::kernel::active_kernel;
+use mmjoin_executor::Executor;
 use std::io::{self, BufRead, Write};
 use std::path::Path;
 use std::time::Instant;
@@ -249,7 +250,7 @@ impl CostModel {
             let a = DenseMatrix::from_fn(p, p, |i, j| ((i * 31 + j * 17) % 7 == 0) as u8 as f32);
             let b = DenseMatrix::from_fn(p, p, |i, j| ((i * 13 + j * 29) % 5 == 0) as u8 as f32);
             let seconds = median_of_3(|| {
-                let c = matmul_parallel(&a, &b, cores);
+                let c = matmul_parallel_on(Executor::global(), &a, &b, cores);
                 std::hint::black_box(&c);
             })
             .max(1e-9);
@@ -453,9 +454,9 @@ impl CostModel {
 
     /// `M̂(u, v, w, co)` — predicted seconds to multiply `u×v` by `v×w` on
     /// `co` cores: pick the sample nearest in per-core work and scale by the
-    /// work ratio (our kernel is cubic with no Strassen in the calibrated
-    /// path, so the scaling is linear in `u·v·w`, matching the paper's
-    /// observation that Eigen's runtime is predictable).
+    /// work ratio (our kernel is cubic, so the scaling is linear in
+    /// `u·v·w`, matching the paper's observation that Eigen's runtime is
+    /// predictable).
     pub fn estimate(&self, u: usize, v: usize, w: usize, cores: usize) -> f64 {
         if u == 0 || v == 0 || w == 0 {
             return 0.0;

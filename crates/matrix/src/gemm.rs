@@ -3,10 +3,11 @@
 //!
 //! The kernel computes `C = A · B` for row-major `f32` matrices. All entry
 //! points route through [`gemm_block`] with the process-wide
-//! [`active_kernel`] — explicit AVX-512/AVX2 register tiles under the
-//! `simd` feature, portable `std::simd` on nightly builds, and a blocked
-//! auto-vectorizable scalar loop otherwise (see the dispatch ladder in
-//! [`kernel`](crate::kernel)).
+//! [`active_kernel`] — explicit AVX-512/AVX2 register tiles on x86-64
+//! hosts that report them, a blocked auto-vectorizable scalar loop
+//! otherwise (see the dispatch ladder in [`kernel`](crate::kernel)).
+//! [`matmul_parallel_with_kernel_on`] is the one way to force a specific
+//! kernel, for equivalence tests and kernel-vs-kernel timing.
 //!
 //! Parallelism decomposes `C` into a 2D grid of `band × NC` tiles
 //! scheduled as tasks on the shared [`mmjoin_executor::Executor`] pool:
@@ -76,50 +77,20 @@ pub fn matmul(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
 /// # Panics
 /// Panics on any dimension mismatch.
 pub fn matmul_into(a: &DenseMatrix, b: &DenseMatrix, c: &mut DenseMatrix) {
-    matmul_into_with_kernel(active_kernel(), a, b, c);
-}
-
-/// [`matmul`] forced onto one specific kernel — the hook the
-/// kernel-equivalence tests and the CI crossover gate use to compare
-/// dispatch paths inside a single build.
-///
-/// # Panics
-/// Panics if `kind` is not in [`available_kernels`] (requesting AVX-512 on
-/// a machine without it would be UB, so it is checked here), or on
-/// dimension mismatch.
-pub fn matmul_with_kernel(kind: Kernel, a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
-    assert!(
-        available_kernels().contains(&kind),
-        "kernel {kind} is not available in this build/machine"
-    );
-    let mut c = DenseMatrix::zeros(a.rows(), b.cols());
-    matmul_into_with_kernel(kind, a, b, &mut c);
-    c
-}
-
-fn matmul_into_with_kernel(kind: Kernel, a: &DenseMatrix, b: &DenseMatrix, c: &mut DenseMatrix) {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     assert_eq!(c.rows(), a.rows(), "output rows must match A");
     assert_eq!(c.cols(), b.cols(), "output cols must match B");
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    if m == 0 || k == 0 || n == 0 {
-        return;
-    }
-    gemm_block(kind, a.data(), b.data(), c.data_mut(), m, k, n);
+    gemm_block(active_kernel(), a.data(), b.data(), c.data_mut(), m, k, n);
 }
 
-/// Multi-threaded `a · b` on the tiled scheduler over the shared
-/// [`Executor::global`] pool. With `threads == 1` this is exactly
+/// Multi-threaded `a · b` on the tiled scheduler over `exec`'s pool
+/// (engine code passes its own executor so a service-level thread budget
+/// governs the GEMM tiles too). With `threads == 1` this is exactly
 /// [`matmul`]; at any higher thread count the tile decomposition depends
 /// only on the shape and `threads`, and every tile reproduces the serial
 /// kernel's own panel schedule, so the result is **bit-identical** to the
 /// serial product at any pool occupancy.
-pub fn matmul_parallel(a: &DenseMatrix, b: &DenseMatrix, threads: usize) -> DenseMatrix {
-    matmul_parallel_on(Executor::global(), a, b, threads)
-}
-
-/// [`matmul_parallel`] on an explicit executor — the variant engine code
-/// uses so a service-level thread budget governs the GEMM tiles too.
 pub fn matmul_parallel_on(
     exec: &Executor,
     a: &DenseMatrix,
@@ -129,15 +100,17 @@ pub fn matmul_parallel_on(
     matmul_parallel_with_kernel_on(exec, active_kernel(), a, b, threads)
 }
 
-/// [`matmul_parallel`] forced onto one specific kernel — the hook the
-/// kernel-equivalence tests use to prove the tile scheduler bit-exact
-/// against the serial path for every dispatchable kernel, not just the
-/// active one.
+/// [`matmul_parallel_on`] forced onto one specific kernel — the hook the
+/// kernel-equivalence tests and the CI crossover gate use to compare
+/// dispatch paths (serially with `threads == 1`, or through the tile
+/// scheduler) inside a single process.
 ///
 /// # Panics
-/// Panics if `kind` is not in [`available_kernels`], or on dimension
-/// mismatch.
-pub fn matmul_parallel_with_kernel(
+/// Panics if `kind` is not in [`available_kernels`] (requesting AVX-512 on
+/// a machine without it would be UB, so it is checked here), or on
+/// dimension mismatch.
+pub fn matmul_parallel_with_kernel_on(
+    exec: &Executor,
     kind: Kernel,
     a: &DenseMatrix,
     b: &DenseMatrix,
@@ -145,18 +118,8 @@ pub fn matmul_parallel_with_kernel(
 ) -> DenseMatrix {
     assert!(
         available_kernels().contains(&kind),
-        "kernel {kind} is not available in this build/machine"
+        "kernel {kind} is not available on this machine"
     );
-    matmul_parallel_with_kernel_on(Executor::global(), kind, a, b, threads)
-}
-
-pub(crate) fn matmul_parallel_with_kernel_on(
-    exec: &Executor,
-    kind: Kernel,
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    threads: usize,
-) -> DenseMatrix {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     assert!(threads >= 1, "need at least one thread");
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
@@ -397,7 +360,7 @@ mod tests {
                 let a = random_matrix(&mut rng, m, k, 0.35);
                 let b = random_matrix(&mut rng, k, n, 0.35);
                 assert_eq!(
-                    matmul_with_kernel(kind, &a, &b),
+                    matmul_parallel_with_kernel_on(Executor::global(), kind, &a, &b, 1),
                     matmul_naive(&a, &b),
                     "kernel {kind} on ({m},{k},{n})"
                 );
@@ -416,7 +379,7 @@ mod tests {
         let b = DenseMatrix::from_fn(k, n, |_, _| rng.gen_range(-1.0f64..1.0) as f32);
         let reference = matmul_naive(&a, &b);
         for kind in available_kernels() {
-            let got = matmul_with_kernel(kind, &a, &b);
+            let got = matmul_parallel_with_kernel_on(Executor::global(), kind, &a, &b, 1);
             for (x, y) in got.data().iter().zip(reference.data()) {
                 let bound = 1e-5 * k as f32;
                 assert!(
@@ -435,7 +398,7 @@ mod tests {
         let serial = matmul(&a, &b);
         for threads in [1, 2, 3, 4, 8, 97, 200] {
             assert_eq!(
-                matmul_parallel(&a, &b, threads),
+                matmul_parallel_on(Executor::global(), &a, &b, threads),
                 serial,
                 "threads={threads}"
             );
@@ -453,7 +416,7 @@ mod tests {
             let b = DenseMatrix::from_fn(k, n, |_, _| rng.gen_range(-2.0f64..2.0) as f32);
             let serial = matmul(&a, &b);
             for threads in [2, 3, 8, 64] {
-                let par = matmul_parallel(&a, &b, threads);
+                let par = matmul_parallel_on(Executor::global(), &a, &b, threads);
                 assert_eq!(
                     par.data(),
                     serial.data(),
@@ -475,7 +438,7 @@ mod tests {
             let serial = matmul(&a, &b);
             for threads in [2, 8] {
                 assert_eq!(
-                    matmul_parallel(&a, &b, threads),
+                    matmul_parallel_on(Executor::global(), &a, &b, threads),
                     serial,
                     "m={m} threads={threads}"
                 );

@@ -10,21 +10,22 @@
 //!
 //! The dispatch ladder, best first:
 //!
-//! 1. `Avx512` — 2×16-lane `__m512` columns (`simd` feature, x86-64 with
-//!    AVX-512F at runtime),
-//! 2. `Avx2` — 2×8-lane `__m256` columns with FMA (`simd` feature, x86-64
-//!    with AVX2+FMA at runtime),
-//! 3. `Portable` — `std::simd::f32x8` (`portable-simd` feature, nightly
-//!    toolchains only),
-//! 4. `Scalar` — the auto-vectorizable fallback, always available.
+//! 1. `Avx512` — 2×16-lane `__m512` columns (x86-64 with AVX-512F at
+//!    runtime),
+//! 2. `Avx2` — 2×8-lane `__m256` columns with FMA (x86-64 with AVX2+FMA
+//!    at runtime),
+//! 3. `Scalar` — the auto-vectorizable fallback, always available; the
+//!    only kernel on other targets and under Miri, and the reference the
+//!    equivalence tests compare the SIMD kernels against.
 //!
-//! [`active_kernel`] picks once per process (override with the
+//! The SIMD kernels are always compiled on x86-64; CPUID decides whether
+//! they run. [`active_kernel`] picks once per process (override with the
 //! `MMJOIN_KERNEL` environment variable); every public matmul entry point
-//! routes through it, so engines, Strassen leaves and the parallel tile
-//! scheduler's bands all hit the same microkernel. All kernels skip zero entries of
-//! `A` per register-tile row — adjacency matrices are sparse-ish 0/1 and
-//! the skip is a large practical win the cost model prices via
-//! `estimate_effective`.
+//! routes through it, as does the bit-matrix row OR, so engines, the
+//! parallel tile scheduler's bands and boolean products all follow one
+//! choice. All kernels skip zero entries of `A` per register-tile row —
+//! adjacency matrices are sparse-ish 0/1 and the skip is a large
+//! practical win the cost model prices via `estimate_effective`.
 //!
 //! Products of 0/1 adjacency matrices are bit-identical across every
 //! kernel: all intermediates are small integers, exact in `f32`, and FMA
@@ -48,14 +49,11 @@ pub enum Kernel {
     /// target features only — SSE2 on x86-64).
     Scalar,
     /// AVX2 + FMA intrinsics, 4×16 register tiles.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
     Avx2,
     /// AVX-512F intrinsics, 4×32 register tiles.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
     Avx512,
-    /// Nightly portable `std::simd`, 8-lane chunks.
-    #[cfg(feature = "portable-simd")]
-    Portable,
 }
 
 impl Kernel {
@@ -64,12 +62,10 @@ impl Kernel {
     pub fn name(&self) -> &'static str {
         match self {
             Kernel::Scalar => "scalar",
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
             Kernel::Avx2 => "avx2",
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
             Kernel::Avx512 => "avx512",
-            #[cfg(feature = "portable-simd")]
-            Kernel::Portable => "portable",
         }
     }
 }
@@ -80,11 +76,11 @@ impl std::fmt::Display for Kernel {
     }
 }
 
-/// Every kernel the current build *and* machine can run, best first.
+/// Every kernel this machine can run, best first.
 #[allow(clippy::vec_init_then_push)] // push sequence is cfg-dependent
 pub fn available_kernels() -> Vec<Kernel> {
     let mut kernels = Vec::new();
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
     {
         if std::arch::is_x86_feature_detected!("avx512f") {
             kernels.push(Kernel::Avx512);
@@ -94,8 +90,6 @@ pub fn available_kernels() -> Vec<Kernel> {
             kernels.push(Kernel::Avx2);
         }
     }
-    #[cfg(feature = "portable-simd")]
-    kernels.push(Kernel::Portable);
     kernels.push(Kernel::Scalar);
     kernels
 }
@@ -112,8 +106,7 @@ pub fn active_kernel() -> Kernel {
                 return k;
             }
             eprintln!(
-                "MMJOIN_KERNEL={want} is not available in this build/machine; \
-                 using {}",
+                "MMJOIN_KERNEL={want} is not available on this machine; using {}",
                 available[0]
             );
         }
@@ -123,21 +116,16 @@ pub fn active_kernel() -> Kernel {
 
 /// The k-panel depth `kind` steps through for a product with `n` output
 /// columns — the depth the SIMD kernels derive from their 32 KiB L1
-/// budget, `KC` for the scalar/portable kernels. Exported so the tiled
+/// budget, `KC` for the scalar kernel. Exported so the tiled
 /// parallel scheduler can cut `k` at exactly the panel boundaries the
 /// serial kernel would use, which is what keeps the parallel product
 /// bit-identical to the serial one.
-#[cfg_attr(
-    not(all(feature = "simd", target_arch = "x86_64")),
-    allow(unused_variables)
-)]
+#[cfg_attr(not(all(target_arch = "x86_64", not(miri))), allow(unused_variables))]
 pub fn k_panel(kind: Kernel, n: usize) -> usize {
     match kind {
         Kernel::Scalar => KC,
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
         Kernel::Avx2 | Kernel::Avx512 => simd_k_panel(n),
-        #[cfg(feature = "portable-simd")]
-        Kernel::Portable => KC,
     }
 }
 
@@ -145,7 +133,7 @@ pub fn k_panel(kind: Kernel, n: usize) -> usize {
 /// (`4·kc·min(n, NC)` bytes) must fit a 32 KiB L1 budget; multiple of 16
 /// so every full panel divides into whole mask groups for both lane
 /// widths. See the rationale inside `simd_kernel!`.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(all(target_arch = "x86_64", not(miri)))]
 fn simd_k_panel(n: usize) -> usize {
     let panel_cols = if n < NC { n.max(1) } else { NC };
     (((32 * 1024) / (4 * panel_cols)) & !15).clamp(16, KC)
@@ -193,10 +181,7 @@ pub fn gemm_block(kind: Kernel, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k
 /// for `c`), the regions must not overlap, and `kind` must come from
 /// [`available_kernels`] (dispatching an unavailable SIMD kernel is UB).
 #[allow(clippy::too_many_arguments)]
-#[cfg_attr(
-    not(all(feature = "simd", target_arch = "x86_64")),
-    allow(unused_variables)
-)]
+#[cfg_attr(not(all(target_arch = "x86_64", not(miri))), allow(unused_variables))]
 pub unsafe fn gemm_block_strided(
     kind: Kernel,
     a: *const f32,
@@ -230,15 +215,13 @@ pub unsafe fn gemm_block_strided(
     );
     match kind {
         Kernel::Scalar => gemm_scalar(a, lda, b, ldb, c, ldc, m, k, n),
-        // SAFETY: the variant only exists when the `simd` feature compiled
-        // the intrinsics in, and only enters `available_kernels()` when
-        // the CPU reports the matching feature at runtime.
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        // SAFETY: the SIMD variants only enter `available_kernels()` when
+        // the CPU reports the matching features at runtime, and `kind`
+        // must come from there (this function's contract).
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
         Kernel::Avx2 => gemm_avx2(a, lda, b, ldb, c, ldc, m, k, n, kc_cols),
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
         Kernel::Avx512 => gemm_avx512(a, lda, b, ldb, c, ldc, m, k, n, kc_cols),
-        #[cfg(feature = "portable-simd")]
-        Kernel::Portable => gemm_portable(a, lda, b, ldb, c, ldc, m, k, n),
     }
 }
 
@@ -293,7 +276,7 @@ unsafe fn gemm_scalar(
 ///
 /// # Safety
 /// `p..p+16` must be readable and the CPU must support AVX-512F.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(all(target_arch = "x86_64", not(miri)))]
 #[target_feature(enable = "avx512f")]
 #[inline]
 unsafe fn nonzero_mask_avx512(p: *const f32) -> u32 {
@@ -306,7 +289,7 @@ unsafe fn nonzero_mask_avx512(p: *const f32) -> u32 {
 ///
 /// # Safety
 /// `p..p+8` must be readable and the CPU must support AVX2.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(all(target_arch = "x86_64", not(miri)))]
 #[target_feature(enable = "avx2")]
 #[inline]
 unsafe fn nonzero_mask_avx2(p: *const f32) -> u32 {
@@ -322,7 +305,7 @@ unsafe fn nonzero_mask_avx2(p: *const f32) -> u32 {
 /// `$maskfn` to test `$lanes` A entries for zero at once. The tile is
 /// [`MR`] rows × 2 vectors; remainder rows shrink the tile, remainder
 /// columns fall through to a scalar tail inside the same feature region.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(all(target_arch = "x86_64", not(miri)))]
 macro_rules! simd_kernel {
     ($fname:ident, $features:literal, $vec:ty, $lanes:expr,
      $load:ident, $store:ident, $splat:ident, $fma:ident, $zero:ident, $maskfn:ident) => {
@@ -535,7 +518,7 @@ macro_rules! simd_kernel {
     };
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(all(target_arch = "x86_64", not(miri)))]
 simd_kernel!(
     gemm_avx2,
     "avx2,fma",
@@ -549,7 +532,7 @@ simd_kernel!(
     nonzero_mask_avx2
 );
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(all(target_arch = "x86_64", not(miri)))]
 simd_kernel!(
     gemm_avx512,
     "avx512f",
@@ -563,55 +546,6 @@ simd_kernel!(
     nonzero_mask_avx512
 );
 
-/// Nightly portable-SIMD kernel: the scalar blocking with an explicit
-/// `f32x8` inner loop (no register tiling — this path exists to prove the
-/// `std::simd` formulation, not to beat the intrinsics).
-///
-/// # Safety
-/// See [`gemm_block_strided`].
-#[cfg(feature = "portable-simd")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn gemm_portable(
-    a: *const f32,
-    lda: usize,
-    b: *const f32,
-    ldb: usize,
-    c: *mut f32,
-    ldc: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    use std::simd::f32x8;
-    for kb in (0..k).step_by(KC) {
-        let k_end = (kb + KC).min(k);
-        for jb in (0..n).step_by(NC) {
-            let j_end = (jb + NC).min(n);
-            for i in 0..m {
-                let a_row = std::slice::from_raw_parts(a.add(i * lda), k);
-                for kk in kb..k_end {
-                    let aik = a_row[kk];
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let va = f32x8::splat(aik);
-                    let c_row = std::slice::from_raw_parts_mut(c.add(i * ldc + jb), j_end - jb);
-                    let b_row = std::slice::from_raw_parts(b.add(kk * ldb + jb), j_end - jb);
-                    let mut cc = c_row.chunks_exact_mut(8);
-                    let mut bc = b_row.chunks_exact(8);
-                    for (cv, bv) in (&mut cc).zip(&mut bc) {
-                        let v = va * f32x8::from_slice(bv) + f32x8::from_slice(cv);
-                        v.copy_to_slice(cv);
-                    }
-                    for (cv, &bv) in cc.into_remainder().iter_mut().zip(bc.remainder()) {
-                        *cv += aik * bv;
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -621,6 +555,24 @@ mod tests {
         let ks = available_kernels();
         assert_eq!(*ks.last().unwrap(), Kernel::Scalar);
         assert!(ks.contains(&active_kernel()));
+    }
+
+    /// The default build offers every SIMD kernel the CPU reports, and
+    /// without an override the process runs the best of them.
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    #[test]
+    fn detected_simd_kernels_are_offered_and_best_is_active() {
+        let ks = available_kernels();
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
+            assert!(ks.contains(&Kernel::Avx2), "{ks:?}");
+        }
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            assert!(ks.contains(&Kernel::Avx512), "{ks:?}");
+        }
+        if std::env::var_os("MMJOIN_KERNEL").is_none() {
+            assert_eq!(active_kernel(), ks[0]);
+        }
     }
 
     #[test]

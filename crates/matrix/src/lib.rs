@@ -1,4 +1,3 @@
-#![cfg_attr(feature = "portable-simd", feature(portable_simd))]
 //! Dense matrix engine for the `mmjoin` workspace.
 //!
 //! The paper's prototype uses Eigen backed by Intel MKL SGEMM (§6). This
@@ -7,10 +6,11 @@
 //! * [`DenseMatrix`] — row-major `f32` matrices. Floats, not integers,
 //!   mirror the paper's deliberate choice of `SGEMM` over integer paths for
 //!   throughput; counts stay exact below 2²⁴, far above any set size here.
-//! * [`kernel`] — register-tiled, cache-blocked GEMM microkernels with a
-//!   runtime dispatch ladder: explicit AVX-512/AVX2 intrinsics under the
-//!   `simd` feature, nightly `std::simd` under `portable-simd`, blocked
-//!   scalar otherwise. `MMJOIN_KERNEL` overrides the pick.
+//! * [`kernel`] — register-tiled, cache-blocked GEMM microkernels picked
+//!   once per process by runtime CPU detection: explicit AVX-512/AVX2
+//!   intrinsics on x86-64 hosts that report them, blocked scalar
+//!   otherwise (and on every other target and under Miri).
+//!   `MMJOIN_KERNEL` is the one override.
 //! * [`gemm`] — the public matmul API over the dispatched kernel, plus a
 //!   tiled parallel scheduler on the shared [`mmjoin_executor::Executor`]
 //!   pool: B packed once into a shared slab, MR-aligned bands × NC
@@ -20,13 +20,11 @@
 //! * [`arena`] — reusable thread-local scratch buffers backing the
 //!   scheduler's packing slabs.
 //! * [`bitmat`] — bit-packed boolean matrices with word-parallel OR-AND
-//!   products, an extension ablated in the benchmarks (boolean output needs
-//!   no counts, e.g. plain join-project and BSI).
+//!   products (boolean output needs no counts, e.g. plain join-project and
+//!   BSI); the row OR follows the same kernel choice as GEMM.
 //! * [`cost`] — the calibrated matmul cost estimator `M̂(u, v, w, co)` of
 //!   Table 1 / Algorithm 3, built by measuring this crate's own kernel at a
 //!   few sizes and interpolating, exactly as §5 describes.
-//! * [`strassen`] — Strassen recursion above a cutoff (future-work
-//!   extension; ablated in `bench/ablation`).
 
 pub mod arena;
 pub mod bitmat;
@@ -35,15 +33,12 @@ pub mod dense;
 pub mod gemm;
 pub mod kernel;
 pub mod sparse;
-pub mod strassen;
 
 pub use bitmat::BitMatrix;
 pub use cost::{CostModel, SystemConstants, REFERENCE_GFLOPS};
 pub use dense::DenseMatrix;
 pub use gemm::{
-    matmul, matmul_into, matmul_naive, matmul_parallel, matmul_parallel_on,
-    matmul_parallel_with_kernel, matmul_with_kernel,
+    matmul, matmul_into, matmul_naive, matmul_parallel_on, matmul_parallel_with_kernel_on,
 };
 pub use kernel::{active_kernel, available_kernels, Kernel};
 pub use sparse::CsrMatrix;
-pub use strassen::{strassen, strassen_parallel, strassen_parallel_on};

@@ -32,11 +32,20 @@ use mmjoin_obs::trace::{chrome_json, Tracer};
 use mmjoin_service::{Service, ServiceConfig};
 use std::sync::Arc;
 
+/// The value after `flag`, or `None` when the flag is absent. A flag
+/// with a missing or unparsable value exits non-zero, naming the flag.
 fn arg_value<T: std::str::FromStr>(flag: &str) -> Option<T> {
-    std::env::args()
-        .skip_while(|a| a != flag)
-        .nth(1)
-        .and_then(|v| v.parse().ok())
+    let mut args = std::env::args().skip_while(|a| a != flag);
+    args.next()?;
+    let problem = match args.next() {
+        Some(value) => match value.parse() {
+            Ok(v) => return Some(v),
+            Err(_) => format!("invalid value `{value}` for {flag}"),
+        },
+        None => format!("{flag} needs a value"),
+    };
+    eprintln!("mmjoin-netd: {problem}");
+    std::process::exit(2);
 }
 
 fn main() {
@@ -92,14 +101,10 @@ fn main() {
         }
     };
     // The "listening" line is the readiness signal scripts wait for.
+    let (queue, quota) = server.admission();
     println!(
-        "mmjoin-netd listening on {} ({workers} workers, queue {queue}, quota {}, {shards} shards)",
+        "mmjoin-netd listening on {} ({workers} workers, queue {queue}, quota {quota}, {shards} shards)",
         server.addr(),
-        if quota == 0 {
-            (queue / 4).max(1)
-        } else {
-            quota
-        },
     );
     server.wait();
     if let Some(path) = trace_out {

@@ -380,6 +380,13 @@ impl Server {
         self.shared.addr
     }
 
+    /// The admission bounds the queue enforces, `(capacity, per-client
+    /// quota)`: the configured values after [`FairQueue::new`]'s clamping
+    /// and default.
+    pub fn admission(&self) -> (usize, usize) {
+        (self.shared.queue.capacity(), self.shared.queue.quota())
+    }
+
     /// Front-end metrics snapshot.
     pub fn metrics(&self) -> NetMetricsSnapshot {
         self.shared.metrics.snapshot()
@@ -726,6 +733,29 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.push(7, 42).unwrap();
         assert_eq!(popper.join().unwrap(), Some((7, 42)));
+    }
+
+    /// The server reports the bounds its queue enforces, not the raw
+    /// configuration: a quota above the capacity is clamped to it, and a
+    /// zero capacity becomes one.
+    #[test]
+    fn server_reports_enforced_admission_bounds() {
+        let service = Arc::new(Service::with_default_registry(1));
+        for (capacity, quota, want) in [(4, 10, (4, 4)), (0, 0, (1, 1)), (64, 0, (64, 16))] {
+            let server = serve(
+                service.clone(),
+                NetConfig {
+                    queue_capacity: capacity,
+                    per_client_quota: quota,
+                    dispatchers: 1,
+                    ..NetConfig::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(server.admission(), want, "queue {capacity} quota {quota}");
+            server.shutdown();
+            server.wait();
+        }
     }
 
     #[test]

@@ -38,11 +38,20 @@ use mmjoin_service::command::{self, Command};
 use mmjoin_service::{Service, ServiceConfig};
 use std::io::BufRead;
 
+/// The value after `flag`, or `None` when the flag is absent. A flag
+/// with a missing or unparsable value exits non-zero, naming the flag.
 fn arg_value<T: std::str::FromStr>(flag: &str) -> Option<T> {
-    std::env::args()
-        .skip_while(|a| a != flag)
-        .nth(1)
-        .and_then(|v| v.parse().ok())
+    let mut args = std::env::args().skip_while(|a| a != flag);
+    args.next()?;
+    let problem = match args.next() {
+        Some(value) => match value.parse() {
+            Ok(v) => return Some(v),
+            Err(_) => format!("invalid value `{value}` for {flag}"),
+        },
+        None => format!("{flag} needs a value"),
+    };
+    eprintln!("mmjoin-serve: {problem}");
+    std::process::exit(2);
 }
 
 fn main() {

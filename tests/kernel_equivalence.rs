@@ -1,25 +1,32 @@
 //! Kernel-equivalence suite for the GEMM dispatch ladder.
 //!
 //! Every kernel [`available_kernels`] can dispatch to — scalar always;
-//! AVX2/AVX-512 under `--features simd` on capable hardware — must agree
-//! with the naive triple loop:
+//! AVX2/AVX-512 on x86-64 hardware that reports them — must agree with
+//! the naive triple loop:
 //!
 //! * **bit-exactly** on 0/1 adjacency matrices (all intermediates are
 //!   small integers, exact in `f32`; FMA contraction cannot change an
 //!   exact result), the representation every join heavy-core uses;
 //! * within FMA-rounding tolerance on arbitrary finite floats.
 //!
-//! CI runs this suite once per feature leg, so a kernel that only exists
-//! on the `simd` leg is still proven against the same reference. The
+//! Each test walks every available kernel inside one process, so the
+//! SIMD kernels are proven against the same reference as scalar. The
 //! shapes cross every blocking boundary: sub-tile, non-multiples of the
 //! lane width, single row/column, and sizes straddling the KC/NC panels.
 
+use mmjoin_executor::Executor;
 use mmjoin_matrix::kernel::{KC, MR, NC};
 use mmjoin_matrix::{
-    active_kernel, available_kernels, matmul_naive, matmul_parallel_with_kernel,
-    matmul_with_kernel, DenseMatrix,
+    active_kernel, available_kernels, matmul_naive, matmul_parallel_with_kernel_on, DenseMatrix,
+    Kernel,
 };
 use proptest::prelude::*;
+
+/// `a · b` forced onto `kernel` through the tile scheduler on `threads`
+/// threads of the global pool (`threads == 1` is the serial kernel).
+fn product(kernel: Kernel, a: &DenseMatrix, b: &DenseMatrix, threads: usize) -> DenseMatrix {
+    matmul_parallel_with_kernel_on(Executor::global(), kernel, a, b, threads)
+}
 
 /// Deterministic 0/1 adjacency with roughly `1/q` density.
 fn adjacency(rows: usize, cols: usize, q: usize, phase: usize) -> DenseMatrix {
@@ -73,9 +80,9 @@ fn parallel_scheduler_is_bit_exact_on_adjacency_shapes() {
             let a = adjacency(m, k, density, 0);
             let b = adjacency(k, n, density, 1);
             for kernel in available_kernels() {
-                let serial = matmul_with_kernel(kernel, &a, &b);
+                let serial = product(kernel, &a, &b, 1);
                 for threads in [2usize, 8] {
-                    let par = matmul_parallel_with_kernel(kernel, &a, &b, threads);
+                    let par = product(kernel, &a, &b, threads);
                     assert_eq!(
                         par.data(),
                         serial.data(),
@@ -105,9 +112,9 @@ fn parallel_scheduler_is_bit_exact_on_general_floats() {
         let a = DenseMatrix::from_fn(m, k, |i, j| val(i, j, 1));
         let b = DenseMatrix::from_fn(k, n, |i, j| val(i, j, 2));
         for kernel in available_kernels() {
-            let serial = matmul_with_kernel(kernel, &a, &b);
+            let serial = product(kernel, &a, &b, 1);
             for threads in [2usize, 8] {
-                let par = matmul_parallel_with_kernel(kernel, &a, &b, threads);
+                let par = product(kernel, &a, &b, threads);
                 assert_eq!(
                     par.data(),
                     serial.data(),
@@ -136,7 +143,7 @@ fn every_kernel_is_bit_exact_on_adjacency_edge_shapes() {
             let b = adjacency(k, n, density, 1);
             let reference = matmul_naive(&a, &b);
             for kernel in available_kernels() {
-                let got = matmul_with_kernel(kernel, &a, &b);
+                let got = product(kernel, &a, &b, 1);
                 assert_eq!(
                     got.data(),
                     reference.data(),
@@ -158,11 +165,11 @@ fn every_kernel_handles_fully_dense_and_fully_zero_blocks() {
         let reference = matmul_naive(&ones, &bm);
         for kernel in available_kernels() {
             assert_eq!(
-                matmul_with_kernel(kernel, &ones, &bm).data(),
+                product(kernel, &ones, &bm, 1).data(),
                 reference.data(),
                 "kernel {kernel} diverges on all-ones {m}x{k}x{n}"
             );
-            let out = matmul_with_kernel(kernel, &zeros, &bm);
+            let out = product(kernel, &zeros, &bm, 1);
             assert!(
                 out.data().iter().all(|&x| x == 0.0),
                 "kernel {kernel} produced nonzeros from a zero A"
@@ -196,7 +203,7 @@ proptest! {
         let reference = matmul_naive(&a, &b);
         for kernel in available_kernels() {
             prop_assert_eq!(
-                matmul_with_kernel(kernel, &a, &b).data(),
+                product(kernel, &a, &b, 1).data(),
                 reference.data(),
                 "kernel {} diverges on {}x{}x{}", kernel, m, k, n
             );
@@ -228,7 +235,7 @@ proptest! {
         let b = DenseMatrix::from_fn(k, n, |i, j| val(i, j, 1));
         let reference = matmul_naive(&a, &b);
         for kernel in available_kernels() {
-            let got = matmul_with_kernel(kernel, &a, &b);
+            let got = product(kernel, &a, &b, 1);
             for (x, y) in got.data().iter().zip(reference.data()) {
                 let tol = 1e-4f32.max(y.abs() * 1e-5);
                 prop_assert!(

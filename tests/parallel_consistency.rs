@@ -5,7 +5,8 @@
 use mmjoin_baseline::nonmm::ExpandDedupEngine;
 use mmjoin_core::{star_join_project_mm, two_path_join_project, two_path_with_counts, JoinConfig};
 use mmjoin_datagen::DatasetKind;
-use mmjoin_matrix::{matmul, matmul_parallel, DenseMatrix};
+use mmjoin_executor::Executor;
+use mmjoin_matrix::{matmul, matmul_parallel_on, DenseMatrix};
 use mmjoin_scj::{set_containment_join, ScjAlgorithm};
 use mmjoin_ssj::{unordered_ssj, SizeAwarePPOpts, SsjAlgorithm};
 
@@ -31,7 +32,11 @@ fn gemm_parallel_consistency_on_many_shapes() {
         let b = DenseMatrix::from_fn(k, n, |i, j| ((i * 5 + j * 11) % 3 == 0) as u8 as f32);
         let serial = matmul(&a, &b);
         for &t in &THREADS {
-            assert_eq!(matmul_parallel(&a, &b, t), serial, "({m},{k},{n}) x{t}");
+            assert_eq!(
+                matmul_parallel_on(Executor::global(), &a, &b, t),
+                serial,
+                "({m},{k},{n}) x{t}"
+            );
         }
     }
 }
