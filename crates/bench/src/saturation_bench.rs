@@ -107,18 +107,11 @@ fn run_saturation() -> SaturationOutcome {
     let service = Arc::new(Service::with_config(ServiceConfig {
         workers: 4,
         catalog_shards: 8,
+        queue_capacity: QUEUE_CAPACITY,
+        per_client_quota: 2,
         ..ServiceConfig::default()
     }));
-    let server = serve(
-        Arc::clone(&service),
-        NetConfig {
-            queue_capacity: QUEUE_CAPACITY,
-            per_client_quota: 2,
-            dispatchers: 4,
-            ..NetConfig::default()
-        },
-    )
-    .expect("bind saturation server");
+    let server = serve(Arc::clone(&service), NetConfig::default()).expect("bind saturation server");
     let addr = server.addr();
 
     let mut setup = Client::connect(addr).expect("setup connect");
@@ -203,7 +196,7 @@ fn run_saturation() -> SaturationOutcome {
         }
     }
 
-    let max_depth = server.metrics().max_queue_depth;
+    let max_depth = service.metrics().max_queue_depth;
     server.shutdown();
     server.wait();
     latencies_us.sort_unstable();

@@ -5,6 +5,19 @@
 //! mmjoin-netd listening on 127.0.0.1:7878 (4 workers, queue 64, quota 16, 8 shards)
 //! ```
 //!
+//! Admission and pool flags:
+//! - `--workers <n>` — service workers; each runs one admitted request
+//!   at a time, so this is the number of commands in flight.
+//! - `--queue <n>` — admission-queue capacity (default from
+//!   `ServiceConfig`); a request beyond it is answered OVERLOADED.
+//! - `--quota <n>` — per-connection cap on queued requests (`0`: a
+//!   quarter of the capacity).
+//! - `--shards <n>` — catalog lock stripes (`1` is the single-lock
+//!   baseline).
+//!
+//! An unknown flag, or a flag with a missing or unparsable value, exits
+//! 2 naming it.
+//!
 //! Drive it with `mmjoin-cli` (same command grammar as `mmjoin-serve`).
 //! Send the `shutdown` command to stop it gracefully: admitted queries
 //! finish and are answered, new ones get a SHUTTING-DOWN status.
@@ -29,38 +42,27 @@
 
 use mmjoin_net::{serve, NetConfig};
 use mmjoin_obs::trace::{chrome_json, Tracer};
+use mmjoin_service::cli::Flags;
 use mmjoin_service::{Service, ServiceConfig};
 use std::sync::Arc;
 
-/// The value after `flag`, or `None` when the flag is absent. A flag
-/// with a missing or unparsable value exits non-zero, naming the flag.
-fn arg_value<T: std::str::FromStr>(flag: &str) -> Option<T> {
-    let mut args = std::env::args().skip_while(|a| a != flag);
-    args.next()?;
-    let problem = match args.next() {
-        Some(value) => match value.parse() {
-            Ok(v) => return Some(v),
-            Err(_) => format!("invalid value `{value}` for {flag}"),
-        },
-        None => format!("{flag} needs a value"),
-    };
-    eprintln!("mmjoin-netd: {problem}");
-    std::process::exit(2);
-}
-
 fn main() {
-    let addr: String = arg_value("--addr").unwrap_or_else(|| "127.0.0.1:7878".into());
-    let workers: usize = arg_value("--workers").unwrap_or(4);
-    let queue: usize = arg_value("--queue").unwrap_or(64);
-    let quota: usize = arg_value("--quota").unwrap_or(0);
-    let dispatchers: usize = arg_value("--dispatchers").unwrap_or(workers);
-    let shards: usize = arg_value("--shards").unwrap_or(8);
-    let trace_out: Option<String> = arg_value("--trace-out");
-    let trace_sample: Option<u64> = arg_value("--trace-sample");
-    let slow_query_us: u64 = arg_value("--slow-query").unwrap_or(0);
-    let threads: Option<usize> = arg_value("--threads");
-    let calibration_path: Option<std::path::PathBuf> = arg_value("--calibration");
-    let calibrate_cost = calibration_path.is_some() || std::env::args().any(|a| a == "--calibrate");
+    let flags = Flags::new("mmjoin-netd");
+    let defaults = ServiceConfig::default();
+    let addr: String = flags
+        .value("--addr")
+        .unwrap_or_else(|| "127.0.0.1:7878".into());
+    let workers: usize = flags.value("--workers").unwrap_or(4);
+    let queue_capacity: usize = flags.value("--queue").unwrap_or(defaults.queue_capacity);
+    let per_client_quota: usize = flags.value("--quota").unwrap_or(0);
+    let shards: usize = flags.value("--shards").unwrap_or(8);
+    let trace_out: Option<String> = flags.value("--trace-out");
+    let trace_sample: Option<u64> = flags.value("--trace-sample");
+    let slow_query_us: u64 = flags.value("--slow-query").unwrap_or(0);
+    let threads: Option<usize> = flags.value("--threads");
+    let calibration_path: Option<std::path::PathBuf> = flags.value("--calibration");
+    let calibrate_cost = flags.has("--calibrate") || calibration_path.is_some();
+    flags.finish();
 
     let tracer = Tracer::global();
     if trace_out.is_some() || trace_sample.is_some() || slow_query_us > 0 {
@@ -70,11 +72,13 @@ fn main() {
 
     let mut config = ServiceConfig {
         workers,
+        queue_capacity,
+        per_client_quota,
         catalog_shards: shards,
         slow_query_us,
         calibrate_cost,
         calibration_path,
-        ..ServiceConfig::default()
+        ..defaults
     };
     if let Some(budget) = threads {
         // Same contract as mmjoin-serve: grant the budget and let the
@@ -83,25 +87,17 @@ fn main() {
         config.thread_budget = budget;
         config.join_config.threads = 0;
     }
-    let service = Arc::new(Service::with_config(config));
-
-    let server = match serve(
-        service,
-        NetConfig {
-            addr,
-            queue_capacity: queue,
-            per_client_quota: quota,
-            dispatchers,
-        },
-    ) {
+    let service = Service::with_config(config);
+    // The "listening" line is the readiness signal scripts wait for; it
+    // prints the admission bounds the queue enforces.
+    let (queue, quota) = service.admission();
+    let server = match serve(Arc::new(service), NetConfig { addr }) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("mmjoin-netd: bind failed: {e}");
             std::process::exit(1);
         }
     };
-    // The "listening" line is the readiness signal scripts wait for.
-    let (queue, quota) = server.admission();
     println!(
         "mmjoin-netd listening on {} ({workers} workers, queue {queue}, quota {quota}, {shards} shards)",
         server.addr(),

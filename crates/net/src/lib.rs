@@ -12,11 +12,12 @@
 //!   with a status byte distinguishing success, errors, admission
 //!   rejections ([`wire::Status::Overloaded`]) and drain mode
 //!   ([`wire::Status::ShuttingDown`]).
-//! * [`server`] — thread-per-connection readers feeding a bounded
-//!   [`server::FairQueue`] (global capacity + per-client quota,
-//!   round-robin dispatch), a dispatcher pool executing commands via
-//!   the shared grammar, and graceful shutdown that drains every
-//!   admitted job.
+//! * [`server`] — thread-per-connection readers admitting each request
+//!   onto the service's one bounded [`admission`](mmjoin_service::admission)
+//!   queue (global capacity + per-client quota, round-robin across
+//!   connections), whose workers
+//!   execute it via the shared grammar; graceful shutdown drains every
+//!   admitted request.
 //! * [`client`] — a blocking client with request/response and
 //!   pipelined modes.
 //!
@@ -29,5 +30,5 @@ pub mod server;
 pub mod wire;
 
 pub use client::Client;
-pub use server::{serve, Admission, FairQueue, NetConfig, NetMetricsSnapshot, Server};
+pub use server::{serve, NetConfig, NetMetricsSnapshot, Server};
 pub use wire::{Status, WireRequest, WireResponse};

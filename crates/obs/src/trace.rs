@@ -780,7 +780,7 @@ mod tests {
             let ctx = tracer.start("wire request").unwrap();
             // Simulate the queue hop: record a retroactive wait span.
             let t0 = Instant::now();
-            span_at(Some(ctx), Stage::QueueWait, "net-queue", t0);
+            span_at(Some(ctx), Stage::QueueWait, "admission-queue", t0);
             // Worker installs the ctx and records a child.
             let _inst = install(Some(ctx));
             {

@@ -27,40 +27,31 @@
 //! cores axis short of the configured budget, force a re-measure). Type
 //! `help` for the full command list.
 //!
-//! The grammar and the interpreter live in
-//! [`mmjoin_service::command`] — the exact same layer `mmjoin-netd`
-//! dispatches over TCP, so the two transports can never drift. This
-//! binary is only the stdin/stdout plumbing. Bad lines are answered
-//! with `err … (offending token: …)`, never silently skipped.
+//! Each stdin line is admitted to the service's queue as client 0 and
+//! run by a service worker — parse, execute, answer — exactly as a
+//! `mmjoin-netd` request is; the grammar and the interpreter live in
+//! [`mmjoin_service::command`], so the two transports can never drift.
+//! This binary is only the stdin/stdout plumbing: it waits for each
+//! answer before reading the next line. Bad lines are answered with
+//! `err … (offending token: …)`, never silently skipped; an unknown
+//! flag exits 2 naming it.
 
-use mmjoin_obs::trace::{chrome_json, span, Stage, Tracer};
-use mmjoin_service::command::{self, Command};
+use mmjoin_obs::trace::{chrome_json, Tracer};
+use mmjoin_service::cli::Flags;
+use mmjoin_service::command::{Frontend, NoFrontend};
 use mmjoin_service::{Service, ServiceConfig};
 use std::io::BufRead;
-
-/// The value after `flag`, or `None` when the flag is absent. A flag
-/// with a missing or unparsable value exits non-zero, naming the flag.
-fn arg_value<T: std::str::FromStr>(flag: &str) -> Option<T> {
-    let mut args = std::env::args().skip_while(|a| a != flag);
-    args.next()?;
-    let problem = match args.next() {
-        Some(value) => match value.parse() {
-            Ok(v) => return Some(v),
-            Err(_) => format!("invalid value `{value}` for {flag}"),
-        },
-        None => format!("{flag} needs a value"),
-    };
-    eprintln!("mmjoin-serve: {problem}");
-    std::process::exit(2);
-}
+use std::sync::{mpsc, Arc};
 
 fn main() {
-    let workers: usize = arg_value("--workers").unwrap_or(4);
-    let threads: Option<usize> = arg_value("--threads");
-    let trace_out: Option<String> = arg_value("--trace-out");
-    let slow_query_us: u64 = arg_value("--slow-query").unwrap_or(0);
-    let calibration_path: Option<std::path::PathBuf> = arg_value("--calibration");
-    let calibrate_cost = calibration_path.is_some() || std::env::args().any(|a| a == "--calibrate");
+    let flags = Flags::new("mmjoin-serve");
+    let workers: usize = flags.value("--workers").unwrap_or(4);
+    let threads: Option<usize> = flags.value("--threads");
+    let trace_out: Option<String> = flags.value("--trace-out");
+    let slow_query_us: u64 = flags.value("--slow-query").unwrap_or(0);
+    let calibration_path: Option<std::path::PathBuf> = flags.value("--calibration");
+    let calibrate_cost = flags.has("--calibrate") || calibration_path.is_some();
+    flags.finish();
 
     let tracer = Tracer::global();
     if trace_out.is_some() || slow_query_us > 0 {
@@ -91,39 +82,32 @@ fn main() {
         mmjoin_matrix::active_kernel(),
         if calibrate_cost { ", calibrated" } else { "" }
     );
+    let frontend: Arc<dyn Frontend> = Arc::new(NoFrontend);
+    let (tx, answers) = mpsc::channel();
     for line in std::io::stdin().lock().lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break,
-        };
+        let Ok(line) = line else { break };
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        // Each line is one request: mint its root span here, at the
-        // REPL boundary (the stdin analogue of the wire boundary).
-        let root = tracer.begin(trimmed);
-        let parse_span = span(Stage::Parse, "command-parse");
-        let parsed = Command::parse(trimmed);
-        drop(parse_span);
-        match parsed {
-            Ok(cmd) => {
-                // On stdin, `shutdown` and `quit` both just end the
-                // session — queries already ran to completion, so the
-                // drain is trivially done.
-                let terminal = cmd.is_terminal();
-                match command::execute(&service, cmd) {
-                    Ok(answer) => println!("{answer}"),
-                    Err(msg) => println!("err {msg}"),
-                }
-                if terminal {
-                    drop(root);
-                    break;
-                }
-            }
-            Err(err) => println!("err {err}"),
+        let tx = tx.clone();
+        let admitted = service.admit(0, trimmed.to_string(), Arc::clone(&frontend), move |a| {
+            let _ = tx.send(a);
+        });
+        if let Err(refused) = admitted {
+            println!("err admission refused: {refused:?}");
+            continue;
         }
-        drop(root);
+        let Ok(answer) = answers.recv() else { break };
+        match answer.body {
+            Ok(body) => println!("{body}"),
+            Err(msg) => println!("err {msg}"),
+        }
+        // On stdin, `shutdown` and `quit` both just end the session —
+        // every line already ran to completion, so the drain is done.
+        if answer.terminal {
+            break;
+        }
     }
     if let Some(path) = trace_out {
         let traces = tracer.last(usize::MAX);

@@ -249,12 +249,25 @@ impl Command {
     }
 }
 
-/// The transport hosting this command session, as far as `stats` is
-/// concerned. The REPL has no network front end ([`NoFrontend`]); the
-/// TCP server implements this over its `NetMetrics` so `stats net` and
-/// `stats reset` reach the transport counters without the service crate
-/// depending on the net crate.
-pub trait Frontend {
+/// What one command line comes back as.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Answer {
+    /// `Ok` bodies already carry their leading `ok`; transports prefix
+    /// `Err` messages (parse and execution errors alike) with `err `.
+    pub body: Result<String, String>,
+    /// The line was `quit`/`exit`/`shutdown`: a session transport (the
+    /// REPL) stops reading after it.
+    pub terminal: bool,
+}
+
+/// The transport hosting this command session, as far as `stats` and
+/// `shutdown` are concerned. The REPL has no network front end
+/// ([`NoFrontend`]); the TCP server implements this over its
+/// `NetMetrics` so `stats net` and `stats reset` reach the transport
+/// counters, and `shutdown` stops its accept loop, without the service
+/// crate depending on the net crate. Admitted lines carry their
+/// frontend across the queue, hence `Send + Sync`.
+pub trait Frontend: Send + Sync {
     /// One-line human-readable transport stats, `None` when the
     /// transport has none (then `stats net` is an error).
     fn net_stats(&self) -> Option<String> {
@@ -266,6 +279,9 @@ pub trait Frontend {
     }
     /// Zeroes the transport counters as part of `stats reset`.
     fn reset_stats(&self) {}
+    /// Called by `shutdown` once the service's admission has closed: the
+    /// transport stops taking new connections.
+    fn shutdown(&self) {}
 }
 
 /// The frontend of transports without one (REPL, tests, direct calls).
@@ -365,16 +381,40 @@ pub fn execute_with(
             Ok(format!("ok {}", lines.join("\n  ")))
         }
         Command::Quit => Ok("ok bye".into()),
-        Command::Shutdown => Ok("ok shutting down".into()),
+        Command::Shutdown => {
+            // Drain mode: admitted lines still run and are answered
+            // (this answer included), new ones are refused.
+            service.shutdown();
+            frontend.shutdown();
+            Ok("ok shutting down".into())
+        }
     }
 }
 
-/// Parses one line end to end and executes it — the convenience every
-/// transport dispatcher calls. Parse errors come back as the same
-/// `Err(String)` shape as execution errors (with the offending token).
+/// Parses one line end to end and executes it on the caller's thread,
+/// with `frontend` answering for the transport — what a service worker
+/// does with each admitted line. Parse errors come back as the same
+/// `Err(String)` body as execution errors (with the offending token).
+pub fn answer(service: &Service, line: &str, frontend: &dyn Frontend) -> Answer {
+    let parse_span = trace::span(Stage::Parse, "command-parse");
+    let parsed = Command::parse(line);
+    drop(parse_span);
+    match parsed {
+        Ok(cmd) => Answer {
+            terminal: cmd.is_terminal(),
+            body: execute_with(service, cmd, frontend),
+        },
+        Err(e) => Answer {
+            body: Err(e.to_string()),
+            terminal: false,
+        },
+    }
+}
+
+/// [`answer`] over [`NoFrontend`], body only — the in-process
+/// convenience (tests, replays).
 pub fn run_line(service: &Service, line: &str) -> Result<String, String> {
-    let cmd = Command::parse(line).map_err(|e| e.to_string())?;
-    execute(service, cmd)
+    answer(service, line, &NoFrontend).body
 }
 
 /// Parses everything after `stats`.

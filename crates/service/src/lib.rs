@@ -21,13 +21,19 @@
 //!   via signed delta joins over per-tuple support counts
 //!   ([`DeltaResult`]), with a cost-driven maintain / recompute /
 //!   invalidate decision per entry ([`MaintenancePolicy`]).
-//! * [`Service`] — a `std::thread` worker pool behind a bounded
-//!   admission queue, reporting per-query [`ExecStats`](mmjoin_api::ExecStats)
-//!   and service-level [metrics](MetricsSnapshot) (queries served, cache
-//!   hit rate, p50/p99 latency).
+//! * [`admission`] — the one admission queue: a bounded fair queue of
+//!   command lines (global capacity + per-client quota, round-robin
+//!   across clients, drain on close).
+//! * [`Service`] — a `std::thread` worker pool draining that queue,
+//!   each worker parsing and executing a line through the shared
+//!   [`command`] grammar, reporting per-query
+//!   [`ExecStats`](mmjoin_api::ExecStats) and service-level
+//!   [metrics](MetricsSnapshot) (queries served, cache hit rate, p50/p99
+//!   latency).
 //!
-//! The `mmjoin-serve` binary wraps a [`Service`] in a line-oriented
-//! REPL; the `mmjoin` facade re-exports everything here.
+//! The `mmjoin-serve` binary feeds stdin lines into a [`Service`] as
+//! client 0 (a line-oriented REPL) and `mmjoin-netd` feeds it TCP
+//! requests; the `mmjoin` facade re-exports everything here.
 //!
 //! ```
 //! use mmjoin_service::{Request, Service};
@@ -42,8 +48,10 @@
 //! # Ok::<(), mmjoin_service::ServiceError>(())
 //! ```
 
+pub mod admission;
 pub mod cache;
 pub mod catalog;
+pub mod cli;
 pub mod command;
 pub mod error;
 pub mod maintain;
@@ -53,13 +61,14 @@ pub mod request;
 pub mod roster;
 pub mod service;
 
+pub use admission::Admission;
 pub use cache::{CachedResult, ResultCache};
 pub use catalog::{Catalog, CatalogEntry, RelationProfile, ShardedCatalog, StagedUpdate};
-pub use command::{Command, ParseError};
+pub use command::{Answer, Command, ParseError};
 pub use error::ServiceError;
 pub use maintain::{DeltaResult, MaintenancePolicy, MaintenanceReport};
 pub use metrics::{MetricsSnapshot, ServiceMetrics};
 pub use planner::{Planner, Selection, SelectionReason};
 pub use request::{AtomSpec, QuerySpec, Request};
 pub use roster::{default_registry, registry_with_config};
-pub use service::{Response, Service, ServiceConfig, Ticket};
+pub use service::{Response, Service, ServiceConfig};

@@ -64,8 +64,9 @@ impl ServiceMetrics {
         &self.registry
     }
 
-    /// Records one served query (`latency_secs` = queue wait + service
-    /// time as observed by the worker).
+    /// Records one served query (`latency_secs` = service time from
+    /// `Service::query` entry; admission-queue wait is traced, not
+    /// counted here).
     pub fn record_query(&self, latency_secs: f64, cached: bool) {
         self.queries.inc();
         if cached {
@@ -79,7 +80,7 @@ impl ServiceMetrics {
         self.errors.inc();
     }
 
-    /// Records an admission-queue rejection.
+    /// Records an admission-queue overload refusal.
     pub fn record_rejected(&self) {
         self.rejected.inc();
     }
@@ -153,7 +154,8 @@ pub struct MetricsSnapshot {
     pub cache_hits: u64,
     /// Failed queries.
     pub errors: u64,
-    /// Requests bounced by the admission queue.
+    /// Lines the admission queue refused as overloaded (refusals while
+    /// shutting down are not counted).
     pub rejected: u64,
     /// Queries whose latency crossed the configured slow-query
     /// threshold (0 when no threshold is set).

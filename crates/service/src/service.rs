@@ -1,8 +1,19 @@
-//! The concurrent join service: admission queue, worker pool, and the
-//! query path tying catalog + planner + cache + registry together.
+//! The concurrent join service: the admission queue and the worker pool
+//! draining it, and the query path tying catalog + planner + cache +
+//! registry together.
+//!
+//! Transports (the TCP server, the REPL) [`Service::admit`] command
+//! lines; a worker pops each one round-robin across clients, records its
+//! queue wait, parses and executes it through the shared grammar
+//! ([`crate::command`]) and hands the [`Answer`] to the job's reply
+//! callback. [`Service::query`] runs on the caller's thread — a worker
+//! executing a `query` line never re-enqueues — so in-process callers
+//! take the same path without a queue hop.
 
+use crate::admission::{Admission, FairQueue};
 use crate::cache::{CachedResult, ResultCache};
 use crate::catalog::{RelationProfile, ShardedCatalog, StagedUpdate};
+use crate::command::{self, Answer, Frontend};
 use crate::error::ServiceError;
 use crate::maintain::{
     accumulate_two_path_delta, decide, delta_cost, Decision, DeltaResult, MaintenancePolicy,
@@ -20,18 +31,18 @@ use mmjoin_core::{choose_thresholds, plan_general, JoinConfig, PlanChoice};
 use mmjoin_executor::{Executor, ExecutorStats};
 use mmjoin_obs::trace::{self, Stage, Tracer};
 use mmjoin_storage::{Edge, Relation, RelationDelta, Value};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Construction-time service configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads draining the admission queue (min 1). These are
-    /// the *inter*-query threads; intra-query parallelism comes out of
-    /// [`ServiceConfig::thread_budget`].
+    /// Worker threads draining the admission queue (min 1): each runs
+    /// one admitted command at a time, so this is the number of commands
+    /// in flight. These are the *inter*-query threads; intra-query
+    /// parallelism comes out of [`ServiceConfig::thread_budget`].
     pub workers: usize,
     /// Global intra-query thread budget: the service builds one shared
     /// [`Executor`] of this size and every engine's parallel work
@@ -55,9 +66,13 @@ pub struct ServiceConfig {
     /// another. `1` degenerates to the old single-lock catalog — the
     /// baseline the saturation benchmark compares against.
     pub catalog_shards: usize,
-    /// Admission-queue capacity; submissions beyond it are rejected with
-    /// [`ServiceError::Overloaded`].
+    /// Admission-queue capacity (min 1): [`Service::admit`] refuses a
+    /// line with [`Admission::Overloaded`] while this many are queued.
     pub queue_capacity: usize,
+    /// Per-client cap on queued lines; `0` defaults to a quarter of the
+    /// capacity (min 1). This is what keeps one chatty client from
+    /// monopolising admission.
+    pub per_client_quota: usize,
     /// Configuration shared by the planner's cost model (and by
     /// [`Service::with_config`]'s default registry).
     pub join_config: JoinConfig,
@@ -67,11 +82,11 @@ pub struct ServiceConfig {
     /// [`Service::apply_delta`] updates.
     pub maintenance: MaintenancePolicy,
     /// Slow-query threshold in microseconds; `0` disables the slow-query
-    /// log. A query whose total latency (queue wait + service) crosses
-    /// the threshold bumps the `slow_queries` counter and, when the
-    /// global tracer is enabled, dumps its span tree to stderr with
-    /// per-stage durations. When no trace context arrived with the
-    /// request, workers mint one themselves (bypassing sampling) so the
+    /// log. A query whose service time (from [`Service::query`] entry)
+    /// crosses the threshold bumps the `slow_queries` counter and, when
+    /// the global tracer is enabled, dumps its span tree to stderr with
+    /// per-stage durations. When the query runs outside any trace,
+    /// [`Service::query`] mints one itself (bypassing sampling) so the
     /// tree is available if the query turns out slow.
     pub slow_query_us: u64,
     /// Calibrate the matmul cost model against the dispatched GEMM kernel
@@ -96,7 +111,8 @@ impl Default for ServiceConfig {
             thread_budget: 0,
             cache_capacity: 256,
             catalog_shards: 8,
-            queue_capacity: 1024,
+            queue_capacity: 64,
+            per_client_quota: 0,
             join_config: JoinConfig::default(),
             engine_overrides: HashMap::new(),
             maintenance: MaintenancePolicy::default(),
@@ -134,36 +150,22 @@ pub struct Response {
     pub cache_key: u64,
 }
 
+/// One admitted command line.
 struct Job {
-    request: Request,
-    enqueued: Instant,
-    /// Trace context captured at submission — the worker thread re-joins
-    /// the submitter's trace across the queue hop, so queue wait and all
-    /// downstream stages land under the request's root span.
+    line: String,
+    /// Root trace minted at admission (if the global tracer is on and
+    /// sampling picked this line). The worker re-joins it across the
+    /// queue hop and finishes it once the answer is built.
     ctx: Option<trace::Ctx>,
-    tx: mpsc::Sender<Result<Response, ServiceError>>,
-}
-
-/// Handle to an in-flight submission.
-pub struct Ticket {
-    rx: mpsc::Receiver<Result<Response, ServiceError>>,
-}
-
-impl Ticket {
-    /// Blocks until the response is ready.
-    pub fn wait(self) -> Result<Response, ServiceError> {
-        self.rx.recv().unwrap_or(Err(ServiceError::ShuttingDown))
-    }
-}
-
-struct QueueState {
-    jobs: VecDeque<Job>,
-    shutdown: bool,
+    /// When the line was admitted (start of the queue wait).
+    enqueued: Instant,
+    frontend: Arc<dyn Frontend>,
+    reply: Box<dyn FnOnce(Answer) + Send>,
 }
 
 /// Shared service state. Every mutex/rwlock acquisition recovers from
 /// poisoning via `unwrap_or_else(PoisonError::into_inner)`: a panicking
-/// engine already fails its own query (see `worker_loop`), and the
+/// engine already fails its own query (see [`Service::query`]), and the
 /// guarded state stays valid across a panic — the cache is epoch-keyed
 /// (a half-finished refresh is merely unreachable), metrics are plain
 /// counters, and the catalog commits entries atomically — so abandoning
@@ -175,14 +177,12 @@ struct Inner {
     policy: MaintenancePolicy,
     catalog: ShardedCatalog,
     cache: Mutex<ResultCache>,
-    queue: Mutex<QueueState>,
-    available: Condvar,
-    /// Lock-free since PR 7: every instrument is atomic, so recording
-    /// needs no mutex (and can never poison).
+    queue: FairQueue<Job>,
+    /// Every instrument is atomic, so recording needs no mutex (and can
+    /// never poison).
     metrics: ServiceMetrics,
-    queue_capacity: usize,
     slow_query_us: u64,
-    shutting_down: AtomicBool,
+    workers: usize,
 }
 
 /// A long-lived, thread-safe join service.
@@ -202,7 +202,11 @@ struct Inner {
 /// ```
 pub struct Service {
     inner: Arc<Inner>,
-    workers: Vec<JoinHandle<()>>,
+    /// The worker pool. `Some` in the handle the constructors return;
+    /// `None` in the handle each worker executes commands through, so
+    /// dropping that one neither closes the queue nor joins a worker
+    /// from itself.
+    pool: Option<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 /// The core count the startup calibration should sweep up to: the
@@ -267,30 +271,31 @@ impl Service {
             policy: config.maintenance.clone(),
             catalog: ShardedCatalog::new(config.catalog_shards),
             cache: Mutex::new(ResultCache::new(config.cache_capacity)),
-            queue: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
-            available: Condvar::new(),
+            queue: FairQueue::new(config.queue_capacity, config.per_client_quota),
             metrics: ServiceMetrics::new(),
-            queue_capacity: config.queue_capacity.max(1),
             slow_query_us: config.slow_query_us,
-            shutting_down: AtomicBool::new(false),
+            workers: config.workers.max(1),
         });
-        let workers = (0..config.workers.max(1))
+        let workers = (0..inner.workers)
             .map(|i| {
-                let inner = Arc::clone(&inner);
+                let view = Service {
+                    inner: Arc::clone(&inner),
+                    pool: None,
+                };
                 // lint:allow(thread-spawn): the service's long-lived,
                 // named worker pool is the sanctioned entry point that
                 // feeds the shared executor; per-query compute still
                 // routes through its token arbitration.
                 std::thread::Builder::new()
                     .name(format!("mmjoin-worker-{i}"))
-                    .spawn(move || worker_loop(inner))
+                    .spawn(move || worker_loop(&view))
                     .expect("spawn service worker")
             })
             .collect();
-        Self { inner, workers }
+        Self {
+            inner,
+            pool: Some(Mutex::new(workers)),
+        }
     }
 
     /// A service with the full default engine roster and `workers` pool
@@ -451,45 +456,125 @@ impl Service {
         self.inner.catalog.edges(name)
     }
 
-    /// Enqueues a request; returns immediately with a [`Ticket`].
-    /// Rejected submissions (queue full, shutting down) resolve the
-    /// ticket with the corresponding error.
-    pub fn submit(&self, request: Request) -> Ticket {
-        let (tx, rx) = mpsc::channel();
-        let mut q = self
-            .inner
-            .queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        // lint:allow(seqcst): the shutdown latch must be globally
-        // ordered with the queue mutex so no submission slips between
-        // the latch flip and the queue's shutdown flag.
-        if q.shutdown || self.inner.shutting_down.load(Ordering::SeqCst) {
-            let _ = tx.send(Err(ServiceError::ShuttingDown));
-        } else if q.jobs.len() >= self.inner.queue_capacity {
-            drop(q);
-            self.inner.metrics.record_rejected();
-            let _ = tx.send(Err(ServiceError::Overloaded {
-                capacity: self.inner.queue_capacity,
-            }));
-        } else {
-            q.jobs.push_back(Job {
-                request,
-                enqueued: Instant::now(),
-                ctx: trace::current_if_enabled(),
-                tx,
-            });
-            let depth = q.jobs.len();
-            drop(q);
-            self.inner.metrics.record_depth(depth);
-            self.inner.available.notify_one();
+    /// Admits one command line from `client` onto the admission queue,
+    /// minting its root trace. A worker later parses and executes it
+    /// (with `frontend` answering `stats net`/`stats reset` and hearing
+    /// about `shutdown`) and calls `reply` with the [`Answer`]. A refused
+    /// line is never executed and `reply` is dropped uncalled; overload
+    /// refusals count in the `rejected` metric.
+    pub fn admit(
+        &self,
+        client: u64,
+        line: String,
+        frontend: Arc<dyn Frontend>,
+        reply: impl FnOnce(Answer) + Send + 'static,
+    ) -> Result<(), Admission> {
+        let ctx = Tracer::global().start(&line);
+        let job = Job {
+            line,
+            ctx,
+            enqueued: Instant::now(),
+            frontend,
+            reply: Box::new(reply),
+        };
+        match self.inner.queue.push(client, job) {
+            Ok(depth) => {
+                self.inner.metrics.record_depth(depth);
+                Ok(())
+            }
+            Err(refused) => {
+                if let Some(ctx) = ctx {
+                    Tracer::global().discard(ctx);
+                }
+                if refused == Admission::Overloaded {
+                    self.inner.metrics.record_rejected();
+                }
+                Err(refused)
+            }
         }
-        Ticket { rx }
     }
 
-    /// Submits and blocks for the answer — the synchronous front door.
+    /// The bounds the admission queue enforces, `(capacity, per-client
+    /// quota)`: the configured values after clamping (capacity at least
+    /// 1, quota at most the capacity) and the quota default.
+    pub fn admission(&self) -> (usize, usize) {
+        (self.inner.queue.capacity(), self.inner.queue.quota())
+    }
+
+    /// Closes admission in drain mode: lines already admitted still run
+    /// and are answered, new ones are refused with
+    /// [`Admission::ShuttingDown`]. The `shutdown` command does this
+    /// from the worker that runs it. [`Service::query`] and the other
+    /// in-process calls keep working.
+    pub fn shutdown(&self) {
+        self.inner.queue.close();
+    }
+
+    /// True once admission is closed.
+    pub fn is_shutting_down(&self) -> bool {
+        self.inner.queue.is_closed()
+    }
+
+    /// Blocks until admission is closed, every admitted line has been
+    /// answered, and every worker has exited. A no-op on the handle a
+    /// worker executes commands through; a worker never joins itself.
+    pub fn wait(&self) {
+        let Some(pool) = &self.pool else { return };
+        let workers = std::mem::take(&mut *pool.lock().unwrap_or_else(PoisonError::into_inner));
+        let me = std::thread::current().id();
+        for handle in workers.into_iter().filter(|h| h.thread().id() != me) {
+            let _ = handle.join();
+        }
+    }
+
+    /// Answers one query on the caller's thread: canonicalize → resolve
+    /// → cache probe → plan → execute → cache fill. A panicking engine
+    /// fails this query with [`ServiceError::Internal`] and leaves the
+    /// service serving. Latency (for the metrics and the slow-query log)
+    /// is the service time from entry to this call.
     pub fn query(&self, request: Request) -> Result<Response, ServiceError> {
-        self.submit(request).wait()
+        let inner = &*self.inner;
+        let start = Instant::now();
+        // With a slow-query threshold armed, a query outside any trace
+        // gets one (bypassing sampling) so its span tree exists if it
+        // turns out slow.
+        let minted = if inner.slow_query_us > 0 && trace::current_if_enabled().is_none() {
+            request
+                .relation_names()
+                .first()
+                .and_then(|n| Tracer::global().begin_forced(&format!("query {n}")))
+        } else {
+            None
+        };
+        let ctx = trace::current_if_enabled();
+        let result =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| process(inner, request)))
+                .unwrap_or_else(|payload| Err(ServiceError::Internal(panic_message(payload))));
+        drop(minted);
+        let latency = start.elapsed().as_secs_f64();
+        match &result {
+            Ok(response) => inner.metrics.record_query(latency, response.cached),
+            Err(_) => inner.metrics.record_error(),
+        }
+        let latency_us = (latency * 1e6).round() as u64;
+        if inner.slow_query_us > 0 && latency_us >= inner.slow_query_us {
+            inner.metrics.record_slow();
+            // A minted trace is finished and carries the full tree; an
+            // inbound one is still open at its transport, so we render
+            // what has landed so far.
+            match ctx.and_then(|c| Tracer::global().spans_of(c.trace)) {
+                Some(t) => eprintln!(
+                    "[mmjoin] slow query: {latency_us}us >= {}us\n{}",
+                    inner.slow_query_us,
+                    t.render()
+                ),
+                None => eprintln!(
+                    "[mmjoin] slow query: {latency_us}us >= {}us (enable tracing for a span tree)",
+                    inner.slow_query_us
+                ),
+            }
+        }
+        result
     }
 
     /// Explains how `request` would run — the chosen engine, cache
@@ -581,13 +666,7 @@ impl Service {
     /// update-driven invalidation churn.
     pub fn metrics(&self) -> MetricsSnapshot {
         let cache_invalidations = self.cache_counters().3;
-        let queue_depth = self
-            .inner
-            .queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .jobs
-            .len();
+        let queue_depth = self.inner.queue.len();
         self.inner
             .metrics
             .snapshot(cache_invalidations, queue_depth)
@@ -647,30 +726,17 @@ impl Service {
 
     /// Worker threads in the pool.
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.inner.workers
     }
 }
 
 impl Drop for Service {
+    /// Dropping the owning handle drains: admission closes, every
+    /// admitted line still runs and is answered, then the workers exit.
     fn drop(&mut self) {
-        // lint:allow(seqcst): pairs with the SeqCst load in `submit`;
-        // after this store no new job may enter the queue being drained.
-        self.inner.shutting_down.store(true, Ordering::SeqCst);
-        {
-            let mut q = self
-                .inner
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            q.shutdown = true;
-            // Fail any still-queued jobs instead of silently dropping them.
-            for job in q.jobs.drain(..) {
-                let _ = job.tx.send(Err(ServiceError::ShuttingDown));
-            }
-        }
-        self.inner.available.notify_all();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+        if self.pool.is_some() {
+            self.shutdown();
+            self.wait();
         }
     }
 }
@@ -1002,76 +1068,27 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn worker_loop(inner: Arc<Inner>) {
-    loop {
-        let job = {
-            let mut q = inner.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            loop {
-                if let Some(job) = q.jobs.pop_front() {
-                    break Some(job);
-                }
-                if q.shutdown {
-                    break None;
-                }
-                q = inner
-                    .available
-                    .wait(q)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        let Some(job) = job else { return };
-        // Re-join the submitter's trace (if any) across the queue hop.
-        // When a slow-query threshold is armed and no context arrived,
-        // mint one here — bypassing sampling — so the span tree exists
-        // if this query turns out slow. Either way the queue wait is
-        // recorded retroactively: the span's clock started at submit.
-        let minted = if job.ctx.is_none() && inner.slow_query_us > 0 {
-            job.request
-                .relation_names()
-                .first()
-                .map(|n| format!("query {n}"))
-                .and_then(|label| Tracer::global().start_forced(&label))
-        } else {
-            None
-        };
-        let ctx = job.ctx.or(minted);
-        trace::span_at(ctx, Stage::QueueWait, "service-queue", job.enqueued);
-        let installed = trace::install(ctx);
-        // A panicking engine must not take the worker (and with it the
-        // whole queue) down: catch it, fail this query, keep serving.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            process(&inner, job.request)
+/// Drains the admission queue until it is closed *and* empty. Each job
+/// is run once, start to finish, on this thread: queue-wait span, parse,
+/// execute, panic containment, then the reply.
+fn worker_loop(service: &Service) {
+    while let Some((_, job)) = service.inner.queue.pop() {
+        trace::span_at(job.ctx, Stage::QueueWait, "admission-queue", job.enqueued);
+        let installed = trace::install(job.ctx);
+        // A panicking command must not take the worker (and with it the
+        // whole queue) down: catch it, fail this line, keep serving.
+        let answer = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            command::answer(service, &job.line, &*job.frontend)
         }))
-        .unwrap_or_else(|payload| Err(ServiceError::Internal(panic_message(payload))));
+        .unwrap_or_else(|payload| Answer {
+            body: Err(ServiceError::Internal(panic_message(payload)).to_string()),
+            terminal: false,
+        });
         drop(installed);
-        if let Some(ctx) = minted {
+        if let Some(ctx) = job.ctx {
             Tracer::global().finish(ctx);
         }
-        let latency = job.enqueued.elapsed().as_secs_f64();
-        match &result {
-            Ok(response) => inner.metrics.record_query(latency, response.cached),
-            Err(_) => inner.metrics.record_error(),
-        }
-        let latency_us = (latency * 1e6).round() as u64;
-        if inner.slow_query_us > 0 && latency_us >= inner.slow_query_us {
-            inner.metrics.record_slow();
-            // For worker-minted traces the root is finished and carries
-            // the full tree; for inbound contexts the root is still open
-            // at the front end, so we render what has landed so far.
-            match ctx.and_then(|c| Tracer::global().spans_of(c.trace)) {
-                Some(t) => eprintln!(
-                    "[mmjoin] slow query: {latency_us}us >= {}us\n{}",
-                    inner.slow_query_us,
-                    t.render()
-                ),
-                None => eprintln!(
-                    "[mmjoin] slow query: {latency_us}us >= {}us (enable tracing for a span tree)",
-                    inner.slow_query_us
-                ),
-            }
-        }
-        // A dropped ticket just means the caller stopped waiting.
-        let _ = job.tx.send(result);
+        (job.reply)(answer);
     }
 }
 
@@ -1416,30 +1433,93 @@ mod tests {
         assert_eq!(r.selection, Some(SelectionReason::Pinned));
     }
 
+    /// Admits `line` for `client`, forwarding the answer to `tx`.
+    fn admit_to(
+        s: &Service,
+        client: u64,
+        line: &str,
+        tx: &std::sync::mpsc::Sender<(u64, Answer)>,
+    ) -> Result<(), Admission> {
+        let tx = tx.clone();
+        s.admit(
+            client,
+            line.into(),
+            Arc::new(crate::command::NoFrontend),
+            move |a| tx.send((client, a)).unwrap(),
+        )
+    }
+
+    /// Parks the single worker inside a job's reply until the returned
+    /// sender fires, so the queue fills deterministically behind it.
+    fn park_worker(s: &Service) -> std::sync::mpsc::Sender<()> {
+        let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
+        let (parked_tx, parked_rx) = std::sync::mpsc::channel();
+        s.admit(
+            99,
+            "help".into(),
+            Arc::new(crate::command::NoFrontend),
+            move |_| {
+                parked_tx.send(()).unwrap();
+                gate_rx.recv().ok();
+            },
+        )
+        .unwrap();
+        parked_rx.recv().unwrap();
+        gate_tx
+    }
+
     #[test]
     fn overload_rejects_gracefully() {
-        // 1 worker, queue of 1: the third concurrent submission while the
-        // worker sleeps on the first may be rejected; all tickets resolve.
+        // One worker, parked: the queue alone decides admission.
         let s = Service::with_config(ServiceConfig {
             workers: 1,
-            queue_capacity: 1,
+            queue_capacity: 4,
+            per_client_quota: 2,
             ..ServiceConfig::default()
         });
-        s.register("R", tiny());
-        let tickets: Vec<Ticket> = (0..20)
-            .map(|_| s.submit(Request::two_path("R", "R")))
-            .collect();
-        let mut ok = 0;
-        let mut overloaded = 0;
-        for t in tickets {
-            match t.wait() {
-                Ok(_) => ok += 1,
-                Err(ServiceError::Overloaded { .. }) => overloaded += 1,
-                Err(e) => panic!("unexpected error: {e}"),
-            }
+        let gate = park_worker(&s);
+        let (tx, rx) = std::sync::mpsc::channel();
+        // The per-client quota trips first…
+        assert_eq!(admit_to(&s, 1, "engines", &tx), Ok(()));
+        assert_eq!(admit_to(&s, 1, "engines", &tx), Ok(()));
+        assert_eq!(admit_to(&s, 1, "engines", &tx), Err(Admission::Overloaded));
+        // …another client still has room, until the capacity trips for
+        // everyone.
+        assert_eq!(admit_to(&s, 2, "nonsense", &tx), Ok(()));
+        assert_eq!(admit_to(&s, 2, "engines", &tx), Ok(()));
+        assert_eq!(admit_to(&s, 3, "engines", &tx), Err(Admission::Overloaded));
+        let m = s.metrics();
+        assert_eq!((m.rejected, m.queue_depth, m.max_queue_depth), (2, 4, 4));
+
+        gate.send(()).unwrap();
+        drop(tx);
+        drop(s);
+        // Every admitted line was answered, round-robin across clients;
+        // a bad line is an `Err` answer, not a lost job.
+        let answers: Vec<(u64, Answer)> = rx.iter().collect();
+        let clients: Vec<u64> = answers.iter().map(|(c, _)| *c).collect();
+        assert_eq!(clients, vec![1, 2, 1, 2]);
+        assert!(answers[1].1.body.as_ref().unwrap_err().contains("nonsense"));
+        for i in [0, 2, 3] {
+            assert!(answers[i].1.body.as_ref().unwrap().starts_with("ok "));
         }
-        assert_eq!(ok + overloaded, 20);
-        assert!(ok >= 1);
+    }
+
+    /// The bounds `admission()` reports are the enforced ones, not the
+    /// raw configuration: a quota above the capacity is clamped to it,
+    /// zero capacity becomes one, and a zero quota defaults to a quarter.
+    #[test]
+    fn admission_reports_enforced_bounds() {
+        for (capacity, quota, want) in [(4, 10, (4, 4)), (0, 0, (1, 1)), (64, 0, (64, 16))] {
+            let s = Service::with_config(ServiceConfig {
+                workers: 1,
+                queue_capacity: capacity,
+                per_client_quota: quota,
+                ..ServiceConfig::default()
+            });
+            assert_eq!(s.admission(), want, "queue {capacity} quota {quota}");
+        }
+        assert_eq!(ServiceConfig::default().queue_capacity, 64);
     }
 
     #[test]
@@ -1920,20 +2000,60 @@ mod tests {
     }
 
     #[test]
-    fn drop_resolves_pending_tickets() {
-        let s = service();
+    fn drop_drains_admitted_lines() {
+        let s = Service::with_config(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
         s.register("R", tiny());
-        let ticket = {
-            let _answered = s.query(Request::two_path("R", "R")).unwrap();
-            let t = s.submit(Request::two_path("R", "R"));
-            drop(s);
-            t
-        };
-        // Either it ran before shutdown or was failed with ShuttingDown —
-        // it must not hang.
-        match ticket.wait() {
-            Ok(_) | Err(ServiceError::ShuttingDown) => {}
-            Err(e) => panic!("unexpected error: {e}"),
+        let gate = park_worker(&s);
+        let (tx, rx) = std::sync::mpsc::channel();
+        for client in 0..3 {
+            admit_to(&s, client, "query twopath R R", &tx).unwrap();
         }
+        // Release the worker only once the drop has begun (or soon
+        // after): the drop closes admission and must still run and
+        // answer all three queued lines before it returns.
+        let opener = std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            gate.send(()).unwrap();
+        });
+        drop(s);
+        opener.join().unwrap();
+        drop(tx);
+        let answers: Vec<(u64, Answer)> = rx.iter().collect();
+        assert_eq!(answers.len(), 3);
+        for (_, a) in &answers {
+            assert!(a.body.as_ref().unwrap().starts_with("ok rows "), "{a:?}");
+        }
+    }
+
+    #[test]
+    fn shutdown_line_closes_admission_and_drains() {
+        let s = Service::with_config(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let gate = park_worker(&s);
+        let (tx, rx) = std::sync::mpsc::channel();
+        admit_to(&s, 1, "shutdown", &tx).unwrap();
+        admit_to(&s, 2, "engines", &tx).unwrap();
+        gate.send(()).unwrap();
+        // The worker closes admission itself; the wait returns once the
+        // line queued behind `shutdown` was answered too.
+        s.wait();
+        assert!(s.is_shutting_down());
+        assert_eq!(
+            admit_to(&s, 3, "engines", &tx),
+            Err(Admission::ShuttingDown)
+        );
+        drop(tx);
+        let answers: Vec<(u64, Answer)> = rx.iter().collect();
+        assert_eq!(answers.len(), 2);
+        assert_eq!(answers[0].1.body.as_deref(), Ok("ok shutting down"));
+        assert!(answers[0].1.terminal);
+        // In-process queries still run on the caller's thread.
+        s.register("R", tiny());
+        assert!(s.query(Request::two_path("R", "R")).is_ok());
     }
 }

@@ -1,9 +1,10 @@
-//! Admission-control stress for the TCP front end: more in-flight work
-//! than the queue bound must bounce with OVERLOADED *promptly* (from
-//! the reader thread, not after the queue drains), every accepted
-//! query must complete with rows identical to a serial replay, a
-//! modest client must keep completing while a chatty one floods
-//! (per-client fairness floor), and `shutdown` must drain admitted
+//! Admission-control stress for the TCP front end over the service's
+//! one admission queue: more in-flight work than the queue bound must
+//! bounce with OVERLOADED *promptly* (from the reader thread, not after
+//! the queue drains), every accepted query must complete with rows
+//! identical to a serial replay, a modest client must keep completing
+//! while a chatty one floods (per-client fairness floor), each refusal
+//! is counted once in both layers, and `shutdown` must drain admitted
 //! jobs before the server stops.
 
 use mmjoin_net::{serve, Client, NetConfig, Status};
@@ -23,7 +24,7 @@ fn rows_of(body: &str) -> u64 {
 
 /// Distinct `min <i>` thresholds keep every query cold (distinct
 /// fingerprints), so each one costs real execution time and the queue
-/// genuinely backs up behind a single dispatcher.
+/// genuinely backs up behind a single worker.
 fn cold_query(i: u32) -> String {
     format!("query twopath R R min {i}")
 }
@@ -33,19 +34,12 @@ const GEN: &str = "gen R Jokes 0.15";
 #[test]
 fn overloaded_is_prompt_and_accepted_queries_complete_correctly() {
     let service = Arc::new(Service::with_config(ServiceConfig {
-        workers: 2,
+        workers: 1,
+        queue_capacity: 3,
+        per_client_quota: 3,
         ..ServiceConfig::default()
     }));
-    let server = serve(
-        service,
-        NetConfig {
-            queue_capacity: 3,
-            per_client_quota: 3,
-            dispatchers: 1,
-            ..NetConfig::default()
-        },
-    )
-    .unwrap();
+    let server = serve(Arc::clone(&service), NetConfig::default()).unwrap();
     let addr = server.addr();
 
     let mut c = Client::connect(addr).unwrap();
@@ -114,13 +108,9 @@ fn overloaded_is_prompt_and_accepted_queries_complete_correctly() {
     }
 
     // Bounded memory: the queue's high-water mark respects its bound.
-    let m = server.metrics();
-    assert!(
-        m.max_queue_depth <= 3,
-        "queue depth {} exceeded bound 3",
-        m.max_queue_depth
-    );
-    assert!(m.rejected_overloaded >= 1);
+    let depth = service.metrics().max_queue_depth;
+    assert!(depth <= 3, "queue depth {depth} exceeded bound 3");
+    assert!(server.metrics().rejected_overloaded >= 1);
     server.shutdown();
     server.wait();
 }
@@ -130,22 +120,15 @@ fn chatty_client_cannot_starve_a_modest_one() {
     const CHATTY_TOTAL: u64 = 30;
     const MODEST_TOTAL: u64 = 6;
 
-    let service = Arc::new(Service::with_config(ServiceConfig {
-        workers: 2,
-        ..ServiceConfig::default()
-    }));
     // Quota 4 < capacity 8: the chatty client can never fill admission,
     // so the modest client is never bounced — fairness at admission.
-    let server = serve(
-        service,
-        NetConfig {
-            queue_capacity: 8,
-            per_client_quota: 4,
-            dispatchers: 1,
-            ..NetConfig::default()
-        },
-    )
-    .unwrap();
+    let service = Arc::new(Service::with_config(ServiceConfig {
+        workers: 1,
+        queue_capacity: 8,
+        per_client_quota: 4,
+        ..ServiceConfig::default()
+    }));
+    let server = serve(Arc::clone(&service), NetConfig::default()).unwrap();
     let addr = server.addr();
     let mut setup = Client::connect(addr).unwrap();
     assert_eq!(setup.call(GEN).unwrap().status, Status::Ok);
@@ -216,10 +199,9 @@ fn chatty_client_cannot_starve_a_modest_one() {
          before the modest client's {MODEST_TOTAL} queries finished"
     );
 
-    let m = server.metrics();
-    assert!(m.max_queue_depth <= 8);
+    assert!(service.metrics().max_queue_depth <= 8);
     // Per-client counters saw all three connections (setup + 2).
-    assert!(m.per_client_served.len() >= 3);
+    assert!(server.metrics().per_client_served.len() >= 3);
     server.shutdown();
     server.wait();
 }
@@ -227,19 +209,12 @@ fn chatty_client_cannot_starve_a_modest_one() {
 #[test]
 fn shutdown_drains_admitted_work_then_refuses_new_work() {
     let service = Arc::new(Service::with_config(ServiceConfig {
-        workers: 2,
+        workers: 1,
+        queue_capacity: 8,
+        per_client_quota: 8,
         ..ServiceConfig::default()
     }));
-    let server = serve(
-        service,
-        NetConfig {
-            queue_capacity: 8,
-            per_client_quota: 8,
-            dispatchers: 1,
-            ..NetConfig::default()
-        },
-    )
-    .unwrap();
+    let server = serve(service, NetConfig::default()).unwrap();
     let addr = server.addr();
 
     let mut a = Client::connect(addr).unwrap();
@@ -281,5 +256,76 @@ fn shutdown_drains_admitted_work_then_refuses_new_work() {
 
     let m = server.metrics();
     assert!(m.rejected_shutting_down >= 1);
+    server.wait();
+}
+
+/// The number after `key` in a flat JSON text.
+fn json_num(json: &str, key: &str) -> u64 {
+    let at = json
+        .find(key)
+        .unwrap_or_else(|| panic!("{key} missing: {json}"))
+        + key.len();
+    json[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect::<String>()
+        .parse()
+        .unwrap()
+}
+
+#[test]
+fn each_refusal_is_counted_once_in_both_layers() {
+    const CAPACITY: u64 = 4;
+    let service = Arc::new(Service::with_config(ServiceConfig {
+        workers: 1,
+        queue_capacity: CAPACITY as usize,
+        per_client_quota: 3,
+        ..ServiceConfig::default()
+    }));
+    let server = serve(service, NetConfig::default()).unwrap();
+    let addr = server.addr();
+    let mut setup = Client::connect(addr).unwrap();
+    assert_eq!(setup.call(GEN).unwrap().status, Status::Ok);
+
+    // Two clients each pipeline a burst far past the bounds at once.
+    let bounced = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        for base in [0u32, 100] {
+            let bounced = &bounced;
+            scope.spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                let ids: Vec<u64> = (1..=12)
+                    .map(|i| c.send(&cold_query(base + i)).unwrap())
+                    .collect();
+                for _ in &ids {
+                    match c.recv().unwrap().status {
+                        Status::Ok => {}
+                        Status::Overloaded => {
+                            bounced.fetch_add(1, Ordering::Relaxed);
+                        }
+                        other => panic!("unexpected status {other}"),
+                    }
+                }
+            });
+        }
+    });
+    let bounced = bounced.load(Ordering::Relaxed);
+    assert!(bounced >= 1, "a saturating burst must bounce");
+
+    let json = setup.call("stats --json").unwrap().body;
+    let (service_json, net_json) = json.split_once("\"net\"").expect("net scope");
+    let rejected = json_num(service_json, "\"rejected\":");
+    let overloaded = json_num(net_json, "\"rejected_overloaded\":");
+    assert_eq!(
+        (rejected, overloaded),
+        (bounced, bounced),
+        "service.rejected and net.rejected_overloaded both count each bounce once"
+    );
+    let depth = json_num(service_json, "\"max_queue_depth\":");
+    assert!(
+        depth <= CAPACITY,
+        "queue depth {depth} exceeded bound {CAPACITY}"
+    );
+    server.shutdown();
     server.wait();
 }

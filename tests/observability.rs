@@ -1,14 +1,14 @@
-//! End-to-end observability: per-request traces spanning the command
-//! layer → service queue → planner → executor, and the `stats` / `trace`
-//! command surface both transports share.
+//! End-to-end observability: per-request traces spanning the admission
+//! queue → command layer → planner → executor, and the `stats` /
+//! `trace` command surface both transports share.
 //!
 //! The tracer is process-global, so every test serializes on one lock
 //! and leaves the tracer disabled and empty behind itself.
 
 use mmjoin::{Relation, Service, ServiceConfig};
 use mmjoin_obs::trace::{Stage, Tracer};
-use mmjoin_service::command;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use mmjoin_service::command::{self, NoFrontend};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 
 static GLOBAL: Mutex<()> = Mutex::new(());
 
@@ -27,6 +27,19 @@ fn teardown() {
     let tracer = Tracer::global();
     tracer.set_enabled(false);
     tracer.clear();
+}
+
+/// Runs `line` the way both transports do: admitted onto the service's
+/// queue (which mints the request's root trace), executed by a worker,
+/// answered through the reply callback.
+fn run_admitted(service: &Service, line: &str) -> Result<String, String> {
+    let (tx, rx) = mpsc::channel();
+    service
+        .admit(0, line.into(), Arc::new(NoFrontend), move |a| {
+            tx.send(a).unwrap()
+        })
+        .expect("admitted");
+    rx.recv().unwrap().body
 }
 
 fn chain_service() -> Service {
@@ -55,13 +68,11 @@ fn composed_chain_query_trace_covers_every_stage() {
     let tracer = Tracer::global();
     let service = chain_service();
 
-    // The REPL/dispatcher pattern: root at the boundary, then the shared
-    // command layer does the rest.
+    // The transport pattern: admission mints the root, a worker runs the
+    // shared command layer under it.
     let line = "query chain R S T";
-    let root = tracer.begin(line).expect("tracing is on");
-    let answer = command::run_line(&service, line).expect("chain query runs");
+    let answer = run_admitted(&service, line).expect("chain query runs");
     assert!(answer.starts_with("ok rows "), "{answer}");
-    drop(root);
 
     let trace = tracer.last(1).pop().expect("one finished trace");
     assert_eq!(trace.label, line);
@@ -133,9 +144,7 @@ fn trace_commands_export_chrome_json() {
     let tracer = Tracer::global();
     let service = chain_service();
 
-    let root = tracer.begin("query chain R S T").unwrap();
-    command::run_line(&service, "query chain R S T").unwrap();
-    drop(root);
+    run_admitted(&service, "query chain R S T").unwrap();
 
     let out = command::run_line(&service, "trace last").unwrap();
     let json = out.strip_prefix("ok ").expect("ok-prefixed");
@@ -239,13 +248,26 @@ fn net_transport_traces_and_answers_stats_net() {
     assert!(json.body.contains("\"per_client_served\""), "{}", json.body);
 
     // `trace last <n>` over the wire exports every retained trace —
-    // including the chain query's, which crossed the net queue and the
-    // service queue. (`trace last` alone would return only the most
-    // recent finished trace: the `stats` command right before it.)
+    // including the chain query's, which crossed the one admission
+    // queue. (`trace last` alone would return only the most recent
+    // finished trace: the `stats` command right before it.)
     let last = client.call("trace last 10").unwrap();
-    assert!(last.body.contains("net-queue"), "{}", last.body);
-    assert!(last.body.contains("service-queue"), "{}", last.body);
     assert!(last.body.contains("\"traceEvents\""), "{}", last.body);
+    // Exactly one queue-wait span per traced wire request.
+    let traces = tracer.last(usize::MAX);
+    let query = traces
+        .iter()
+        .find(|t| t.label == "query chain R S T")
+        .expect("the chain query was traced");
+    for t in &traces {
+        let waits = t
+            .spans
+            .iter()
+            .filter(|s| s.stage == Stage::QueueWait)
+            .count();
+        assert_eq!(waits, 1, "trace `{}` has {waits} queue-wait spans", t.label);
+    }
+    assert!(query.spans.iter().any(|s| s.label == "admission-queue"));
 
     let reset = client.call("stats reset").unwrap();
     assert!(reset.body.starts_with("ok stats reset"), "{}", reset.body);
