@@ -1,9 +1,9 @@
 //! Ablation benches: Figure 8 (SizeAware++ optimization levels) plus the
-//! design-choice ablations DESIGN.md calls out (heavy-core backend,
-//! threshold sensitivity, dedup strategy).
+//! 2-path threshold sensitivity, with the heavy core's combinatorial
+//! memory-cap fallback alongside the optimizer's pick.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mmjoin_core::{two_path_join_project, HeavyBackend, JoinConfig};
+use mmjoin_core::{two_path_join_project, JoinConfig};
 use mmjoin_datagen::DatasetKind;
 use mmjoin_ssj::{unordered_ssj, SizeAwarePPOpts, SsjAlgorithm};
 
@@ -42,38 +42,6 @@ fn fig8_sizeaware_ablation(c: &mut Criterion) {
     g.finish();
 }
 
-fn heavy_backend_ablation(c: &mut Criterion) {
-    let r = mmjoin_datagen::generate(DatasetKind::Protein, SCALE, SEED);
-    let mut g = c.benchmark_group("heavy_backend_protein");
-    g.bench_function("f32_gemm", |b| {
-        let cfg = JoinConfig::default();
-        b.iter(|| two_path_join_project(&r, &r, &cfg));
-    });
-    g.bench_function("bitmatrix", |b| {
-        let cfg = JoinConfig {
-            heavy_backend: HeavyBackend::BitMatrix,
-            ..JoinConfig::default()
-        };
-        b.iter(|| two_path_join_project(&r, &r, &cfg));
-    });
-    g.bench_function("spgemm", |b| {
-        let cfg = JoinConfig {
-            heavy_backend: HeavyBackend::Sparse,
-            ..JoinConfig::default()
-        };
-        b.iter(|| two_path_join_project(&r, &r, &cfg));
-    });
-    g.bench_function("combinatorial_cap", |b| {
-        // Memory cap 0 forces the expansion fallback for the heavy core.
-        let cfg = JoinConfig {
-            matrix_cell_cap: 0,
-            ..JoinConfig::default()
-        };
-        b.iter(|| two_path_join_project(&r, &r, &cfg));
-    });
-    g.finish();
-}
-
 fn threshold_sensitivity(c: &mut Criterion) {
     let r = mmjoin_datagen::generate(DatasetKind::Jokes, SCALE, SEED);
     let mut g = c.benchmark_group("threshold_sensitivity_jokes");
@@ -88,6 +56,14 @@ fn threshold_sensitivity(c: &mut Criterion) {
         let cfg = JoinConfig::default();
         b.iter(|| two_path_join_project(&r, &r, &cfg));
     });
+    g.bench_function("combinatorial_cap", |b| {
+        // Memory cap 0 forces the expansion fallback for the heavy core.
+        let cfg = JoinConfig {
+            matrix_cell_cap: 0,
+            ..JoinConfig::default()
+        };
+        b.iter(|| two_path_join_project(&r, &r, &cfg));
+    });
     g.finish();
 }
 
@@ -97,6 +73,6 @@ criterion_group!(
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_millis(1500));
-    targets = fig8_sizeaware_ablation, heavy_backend_ablation, threshold_sensitivity
+    targets = fig8_sizeaware_ablation, threshold_sensitivity
 );
 criterion_main!(benches);

@@ -4,8 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mmjoin_executor::Executor;
 use mmjoin_matrix::{
-    available_kernels, matmul, matmul_parallel_on, matmul_parallel_with_kernel_on, BitMatrix,
-    DenseMatrix,
+    available_kernels, matmul, matmul_parallel_on, matmul_parallel_with_kernel_on, DenseMatrix,
 };
 
 fn adjacency(n: usize, phase: usize) -> DenseMatrix {
@@ -67,36 +66,12 @@ fn kernel_ladder(c: &mut Criterion) {
     g.finish();
 }
 
-fn backend_ablation(c: &mut Criterion) {
-    let mut g = c.benchmark_group("gemm_backend_ablation");
-    let n = 512usize;
-    let a = adjacency(n, 0);
-    let b = adjacency(n, 1);
-    g.bench_function("f32_blocked", |bench| bench.iter(|| matmul(&a, &b)));
-    let mut ab = BitMatrix::zeros(n, n);
-    let mut bb = BitMatrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..n {
-            if a.get(i, j) != 0.0 {
-                ab.set(i, j);
-            }
-            if b.get(i, j) != 0.0 {
-                bb.set(i, j);
-            }
-        }
-    }
-    g.bench_function("bitmatrix_boolean", |bench| {
-        bench.iter(|| ab.bool_product(&bb))
-    });
-    g.finish();
-}
-
 criterion_group!(
     name = benches;
     config = Criterion::default()
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_millis(1500));
-    targets = fig3a_single_core, fig3b_multicore, kernel_ladder, backend_ablation
+    targets = fig3a_single_core, fig3b_multicore, kernel_ladder
 );
 criterion_main!(benches);

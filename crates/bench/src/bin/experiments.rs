@@ -7,7 +7,7 @@
 //!
 //! targets: engines table2 plan fig3a fig3b fig4a fig4b fig4c fig4d fig4f
 //!          fig5a fig5b fig5c fig5d fig5g fig5h fig5e fig5f fig6a
-//!          fig6b fig6c fig6d fig7 fig8 ablation service updates chains
+//!          fig6b fig6c fig6d fig7 fig8 service updates chains
 //!          saturation crossover all
 //! ```
 //!
@@ -106,7 +106,6 @@ fn run(name: &str, scale: f64, gated: bool, threads: usize) -> Output {
         "fig6d" => Output::Table(figures::fig6_bsi(DatasetKind::Image, scale)),
         "fig7" => Output::Table(figures::fig7(scale)),
         "fig8" => Output::Table(figures::fig8(scale)),
-        "ablation" => Output::Table(figures::ablation_matrix_backends(scale)),
         "service" => Output::Table(service_bench::service_experiment(scale)),
         "saturation" => Output::Table(saturation_bench::saturation_experiment(scale)),
         "updates" => Output::Table(updates_bench::updates_experiment(scale)),
@@ -121,7 +120,7 @@ fn run(name: &str, scale: f64, gated: bool, threads: usize) -> Output {
     }
 }
 
-const ALL_TARGETS: [&str; 30] = [
+const ALL_TARGETS: [&str; 29] = [
     "engines",
     "table2",
     "plan",
@@ -146,7 +145,6 @@ const ALL_TARGETS: [&str; 30] = [
     "fig6d",
     "fig7",
     "fig8",
-    "ablation",
     "service",
     "updates",
     "chains",

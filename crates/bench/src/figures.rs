@@ -9,8 +9,8 @@
 use crate::report::{fmt_secs, Table};
 use crate::{core_grid, dataset, star_dataset, timed, SEED};
 use mmjoin::{
-    default_registry, CountSink, Engine, EngineRegistry, ExecStats, HeavyBackend, JoinConfig,
-    MmJoinEngine, PlanKind, Query, Relation,
+    default_registry, CountSink, Engine, EngineRegistry, ExecStats, JoinConfig, PlanKind, Query,
+    Relation,
 };
 use mmjoin_bsi::{random_workload, simulate_batching, BsiStrategy};
 use mmjoin_datagen::DatasetKind;
@@ -415,32 +415,6 @@ pub fn fig8(scale: f64) -> Table {
             name,
             vec![fmt_secs(secs), format!("{:.1}%", 100.0 * secs / noop)],
         );
-    }
-    t
-}
-
-/// Ablation (beyond the paper): f32 GEMM vs bit-matrix boolean product vs
-/// SpGEMM for the heavy core of the 2-path join on a dense dataset.
-pub fn ablation_matrix_backends(scale: f64) -> Table {
-    let mut t = Table::new(
-        "Ablation: heavy-core backend (Jokes dataset)",
-        vec!["backend".into(), "time".into(), "|OUT|".into()],
-    );
-    let r = dataset(DatasetKind::Jokes, scale);
-    let q = Query::two_path(&r, &r).build().unwrap();
-    let backend_cfg = |backend| JoinConfig {
-        heavy_backend: backend,
-        ..JoinConfig::default()
-    };
-    for (name, cfg) in [
-        ("f32 GEMM", backend_cfg(HeavyBackend::DenseF32)),
-        ("bit-matrix", backend_cfg(HeavyBackend::BitMatrix)),
-        ("spgemm", backend_cfg(HeavyBackend::Sparse)),
-        ("auto", backend_cfg(HeavyBackend::Auto)),
-    ] {
-        let engine = MmJoinEngine::new(cfg);
-        let (stats, secs) = run_counted(&engine, &q);
-        t.push_row(name, vec![fmt_secs(secs), stats.rows.to_string()]);
     }
     t
 }

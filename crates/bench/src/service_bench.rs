@@ -31,8 +31,10 @@ fn workload() -> Vec<Request> {
 /// Runs the workload: one cold pass, then `CLIENTS` threads × `ROUNDS`
 /// replays, and reports per-phase throughput plus the service metrics.
 pub fn service_experiment(scale: f64) -> Table {
+    // The client threads call `Service::query` directly and never go
+    // through the admission queue, so one (idle) pool worker suffices.
     let service = Service::with_config(ServiceConfig {
-        workers: CLIENTS,
+        workers: 1,
         ..ServiceConfig::default()
     });
     // Registration profiles stats once; time it to show it is a
@@ -87,9 +89,8 @@ pub fn service_experiment(scale: f64) -> Table {
 
     let mut table = Table::new(
         format!(
-            "service: mixed workload, {} relations, {} workers, {} clients x {} rounds (scale {scale})",
+            "service: mixed workload, {} relations, {} client threads x {} rounds (scale {scale})",
             service.relation_names().len(),
-            service.workers(),
             CLIENTS,
             ROUNDS
         ),
@@ -156,7 +157,7 @@ pub fn service_experiment(scale: f64) -> Table {
     // hit rate is not meaningful here).
     for budget in [1usize, 4] {
         let svc = Service::with_config(ServiceConfig {
-            workers: 2,
+            workers: 1,
             thread_budget: budget,
             join_config: mmjoin::JoinConfig {
                 threads: 0, // auto: use the whole budget per query

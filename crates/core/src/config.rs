@@ -4,22 +4,6 @@ use mmjoin_executor::Executor;
 use mmjoin_matrix::CostModel;
 use std::sync::Arc;
 
-/// Which kernel evaluates the heavy-core product of Algorithm 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HeavyBackend {
-    /// Cache-blocked dense f32 GEMM (the paper's SGEMM path).
-    #[default]
-    DenseF32,
-    /// Bit-packed boolean product — existence only, no counts (extension).
-    BitMatrix,
-    /// Row-wise Gustavson SpGEMM over CSR operands — wins when the heavy
-    /// block is very sparse (Amossen–Pagh's regime; extension).
-    Sparse,
-    /// Pick [`HeavyBackend::Sparse`] when the heavy block density is below
-    /// 2%, [`HeavyBackend::DenseF32`] otherwise.
-    Auto,
-}
-
 /// Configuration shared by the 2-path and star MMJoin evaluators.
 #[derive(Debug, Clone)]
 pub struct JoinConfig {
@@ -38,17 +22,16 @@ pub struct JoinConfig {
     /// calibration (`CostModel::calibrate`).
     pub cost_model: CostModel,
     /// Force the degree thresholds `(Δ1, Δ2)` instead of running the
-    /// optimizer — used by tests and the ablation benchmarks.
+    /// optimizer — used by tests and the threshold-sensitivity benchmark.
     pub delta_override: Option<(u32, u32)>,
     /// Algorithm 3 line 2: when the full join size is at most this factor
     /// times the input size, skip partitioning entirely and run the plain
     /// WCOJ + dedup plan. The paper uses 20.
     pub wcoj_fallback_factor: f64,
-    /// Heavy-core multiplication kernel (ablated in `bench/ablation`).
-    pub heavy_backend: HeavyBackend,
     /// Safety cap on total dense-matrix cells (`u·v + v·w + u·w`); above it
     /// the heavy part falls back to combinatorial expansion instead of
-    /// allocating matrices that would not fit in memory.
+    /// allocating matrices that would not fit in memory. Below it the
+    /// heavy core is one dense `f32` GEMM (the paper's SGEMM path).
     pub matrix_cell_cap: usize,
 }
 
@@ -60,7 +43,6 @@ impl Default for JoinConfig {
             cost_model: CostModel::analytic_default(),
             delta_override: None,
             wcoj_fallback_factor: 20.0,
-            heavy_backend: HeavyBackend::default(),
             matrix_cell_cap: 200_000_000,
         }
     }
@@ -167,7 +149,6 @@ mod tests {
         assert_eq!(c.threads, 1);
         assert_eq!(c.wcoj_fallback_factor, 20.0);
         assert!(c.delta_override.is_none());
-        assert_eq!(c.heavy_backend, HeavyBackend::DenseF32);
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub mod star;
 pub mod two_path;
 
 pub use compose::execute_general;
-pub use config::{HeavyBackend, JoinConfig};
+pub use config::JoinConfig;
 pub use estimate::{estimate_from_parts, estimate_output_size, OutputEstimate};
 pub use optimizer::{choose_thresholds, ExecutionPlan, PlanChoice};
 pub use plan::{plan_general, FinalStage, GeneralPlan, PlanError, PlanNode, PlanStep, ProjCols};

@@ -17,9 +17,9 @@
 //! Coverage of an output pair `(a, c)` with witness `b`: `a` light → pass A;
 //! `c` light → pass B; `b` light in `S` → pass A; `b` light in `R` → pass B;
 //! otherwise all of `a`, `c`, `b` are heavy → matrix. The parts may
-//! overlap, but only the light parts need sorting: every matrix backend
-//! yields the product row-major with ascending columns over ascending
-//! heavy `x`/`z` values, so the heavy stream arrives sorted and distinct.
+//! overlap, but only the light parts need sorting: the dense product is
+//! read row-major with ascending columns over ascending heavy `x`/`z`
+//! values, so the heavy stream arrives sorted and distinct.
 //! Assembly sorts and deduplicates the light pairs (plus the combinatorial
 //! heavy pairs when the matrix memory cap trips) and merges them into the
 //! heavy stream in one linear pass — no output-sized sort in the dense
@@ -30,12 +30,12 @@
 //! yielding exact `|ys(x) ∩ ys(z)|` multiplicities — the quantity the
 //! similarity joins (§4) threshold and sort on.
 
-use crate::config::{HeavyBackend, JoinConfig};
+use crate::config::JoinConfig;
 use crate::optimizer::{choose_thresholds, PlanChoice};
 use mmjoin_api::PlanStats;
 use mmjoin_baseline::nonmm::ExpandDedupEngine;
 use mmjoin_executor::Executor;
-use mmjoin_matrix::{matmul_parallel_on, BitMatrix, CsrMatrix, DenseMatrix};
+use mmjoin_matrix::{matmul_parallel_on, DenseMatrix};
 use mmjoin_storage::{DedupBuffer, Relation, Value};
 
 /// Evaluates `π_{x,z}(R ⋈ S)` returning sorted distinct pairs.
@@ -74,9 +74,9 @@ pub fn two_path_join_project_with_stats(
     stats.heavy_core_matrix = Some(use_matrix);
     let mut light = light_passes(r, s, delta1, delta2, threads, exec);
 
-    // Every matrix backend yields its product row-major with ascending
-    // columns, and rows/columns map to ascending `heavy_x`/`heavy_z`: the
-    // heavy stream is already sorted and distinct.
+    // The product is read row-major with ascending columns, and
+    // rows/columns map to ascending `heavy_x`/`heavy_z`: the heavy stream
+    // is already sorted and distinct.
     let heavy_pairs = if heavy.is_degenerate() {
         // No heavy core: light passes already cover everything.
         Vec::new()
@@ -86,29 +86,15 @@ pub fn two_path_join_project_with_stats(
         heavy_expansion_fallback(r, s, &heavy, &mut light);
         Vec::new()
     } else {
-        let pair = |i: usize, j: usize| (heavy.heavy_x[i], heavy.heavy_z[j]);
-        match heavy.resolve_backend(r, config.heavy_backend) {
-            HeavyBackend::BitMatrix => {
-                let (m1, m2) = heavy.build_bit_matrices(r, s);
-                let prod = m1.bool_product(&m2);
-                prod.iter_ones().map(|(i, j)| pair(i, j)).collect()
-            }
-            HeavyBackend::Sparse => {
-                let (m1, m2) = heavy.build_sparse_matrices(r, s);
-                let prod = m1.spgemm(&m2);
-                let mut out = Vec::with_capacity(prod.nnz());
-                out.extend(prod.entries_at_least(0.5).map(|(i, j, _)| pair(i, j)));
-                out
-            }
-            _ => {
-                let (m1, m2) = heavy.build_dense_matrices(r, s);
-                let prod = matmul_parallel_on(exec, &m1, &m2, threads);
-                // Entries are exact witness counts, so nonzero ⇔ ≥ 0.5.
-                let mut out = Vec::with_capacity(prod.nnz());
-                out.extend(prod.entries_at_least(0.5).map(|(i, j, _)| pair(i, j)));
-                out
-            }
-        }
+        let (m1, m2) = heavy.build_dense_matrices(r, s);
+        let prod = matmul_parallel_on(exec, &m1, &m2, threads);
+        // Entries are exact witness counts, so nonzero ⇔ ≥ 0.5.
+        let mut out = Vec::with_capacity(prod.nnz());
+        out.extend(
+            prod.entries_at_least(0.5)
+                .map(|(i, j, _)| (heavy.heavy_x[i], heavy.heavy_z[j])),
+        );
+        out
     };
     debug_assert!(
         heavy_pairs.windows(2).all(|w| w[0] < w[1]),
@@ -375,80 +361,6 @@ impl HeavyIndex {
                 if let Some(&c) = self.y_col.get(y as usize) {
                     if c >= 0 {
                         m2.set(c as usize, col, 1.0);
-                    }
-                }
-            }
-        }
-        (m1, m2)
-    }
-
-    /// Density-based backend selection for [`HeavyBackend::Auto`]:
-    /// estimated nnz(M1) over u·v cells below 2% picks the SpGEMM path.
-    fn resolve_backend(&self, r: &Relation, requested: HeavyBackend) -> HeavyBackend {
-        match requested {
-            HeavyBackend::Auto => {
-                let cells = (self.heavy_x.len() * self.heavy_y.len()).max(1);
-                let nnz: usize = self
-                    .heavy_x
-                    .iter()
-                    .map(|&x| r.ys_of(x).iter().filter(|&&y| self.y_is_heavy(y)).count())
-                    .sum();
-                if (nnz as f64) / (cells as f64) < 0.02 {
-                    HeavyBackend::Sparse
-                } else {
-                    HeavyBackend::DenseF32
-                }
-            }
-            other => other,
-        }
-    }
-
-    fn build_sparse_matrices(&self, r: &Relation, s: &Relation) -> (CsrMatrix, CsrMatrix) {
-        let (u, v, w) = (self.heavy_x.len(), self.heavy_y.len(), self.heavy_z.len());
-        let mut pairs_a = Vec::new();
-        for (row, &x) in self.heavy_x.iter().enumerate() {
-            for &y in r.ys_of(x) {
-                if let Some(&c) = self.y_col.get(y as usize) {
-                    if c >= 0 {
-                        pairs_a.push((row as u32, c as u32));
-                    }
-                }
-            }
-        }
-        let mut pairs_b = Vec::new();
-        for (col, &z) in self.heavy_z.iter().enumerate() {
-            for &y in s.ys_of(z) {
-                if let Some(&c) = self.y_col.get(y as usize) {
-                    if c >= 0 {
-                        pairs_b.push((c as u32, col as u32));
-                    }
-                }
-            }
-        }
-        (
-            CsrMatrix::from_pairs(u, v, &pairs_a),
-            CsrMatrix::from_pairs(v, w, &pairs_b),
-        )
-    }
-
-    fn build_bit_matrices(&self, r: &Relation, s: &Relation) -> (BitMatrix, BitMatrix) {
-        let (u, v, w) = (self.heavy_x.len(), self.heavy_y.len(), self.heavy_z.len());
-        let mut m1 = BitMatrix::zeros(u, v);
-        for (row, &x) in self.heavy_x.iter().enumerate() {
-            for &y in r.ys_of(x) {
-                if let Some(&c) = self.y_col.get(y as usize) {
-                    if c >= 0 {
-                        m1.set(row, c as usize);
-                    }
-                }
-            }
-        }
-        let mut m2 = BitMatrix::zeros(v, w);
-        for (col, &z) in self.heavy_z.iter().enumerate() {
-            for &y in s.ys_of(z) {
-                if let Some(&c) = self.y_col.get(y as usize) {
-                    if c >= 0 {
-                        m2.set(c as usize, col);
                     }
                 }
             }
@@ -774,6 +686,21 @@ mod tests {
         rel(&edges)
     }
 
+    /// Folds edges onto the domain `dom.0 × dom.1`.
+    fn fold(edges: &[(Value, Value)], dom: (u32, u32)) -> Vec<(Value, Value)> {
+        edges.iter().map(|&(x, y)| (x % dom.0, y % dom.1)).collect()
+    }
+
+    /// The default matrix cell cap, or a one-cell cap that forces the
+    /// combinatorial heavy fallback.
+    fn cell_cap(capped: bool) -> usize {
+        if capped {
+            1
+        } else {
+            JoinConfig::default().matrix_cell_cap
+        }
+    }
+
     #[test]
     fn matches_reference_with_forced_deltas() {
         let r = rel(&[(0, 0), (0, 1), (1, 0), (2, 1), (3, 2), (3, 0)]);
@@ -794,34 +721,6 @@ mod tests {
         let r = clique_relation(12, 6);
         let cfg = JoinConfig {
             wcoj_fallback_factor: 1.0,
-            ..JoinConfig::default()
-        };
-        assert_eq!(
-            two_path_join_project(&r, &r, &cfg),
-            SortMergeEngine.join_project(&r, &r)
-        );
-    }
-
-    #[test]
-    fn sparse_and_auto_backends_match() {
-        let r = clique_relation(10, 5);
-        let expected = SortMergeEngine.join_project(&r, &r);
-        for backend in [HeavyBackend::Sparse, HeavyBackend::Auto] {
-            let cfg = JoinConfig {
-                heavy_backend: backend,
-                delta_override: Some((2, 2)),
-                ..JoinConfig::default()
-            };
-            assert_eq!(two_path_join_project(&r, &r, &cfg), expected, "{backend:?}");
-        }
-    }
-
-    #[test]
-    fn bitmat_path_matches() {
-        let r = clique_relation(10, 5);
-        let cfg = JoinConfig {
-            heavy_backend: HeavyBackend::BitMatrix,
-            delta_override: Some((2, 2)),
             ..JoinConfig::default()
         };
         assert_eq!(
@@ -930,9 +829,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Every threshold choice, heavy backend (plus the memory-cap
-        /// fallback) and thread count must produce the reference result,
-        /// strictly increasing — the merge relies on sorted parts.
+        /// Every threshold choice, heavy-core path (dense product or the
+        /// memory-cap fallback) and thread count must produce the
+        /// reference result, strictly increasing — the merge relies on
+        /// sorted parts.
         #[test]
         fn any_deltas_match_reference(
             r_edges in proptest::collection::vec((0u32..20, 0u32..15), 1..80),
@@ -940,30 +840,17 @@ mod tests {
             d1 in 1u32..8,
             d2 in 1u32..8,
             threads in 1usize..3,
-            backend in 0usize..5,
+            capped in any::<bool>(),
             dom in (3u32..14, 2u32..9),
         ) {
             // Folding the edges onto a random smaller domain mixes dense
             // cases, whose heavy cores are non-degenerate, with sparse ones.
-            let fold = |edges: &[(Value, Value)]| -> Vec<(Value, Value)> {
-                edges.iter().map(|&(x, y)| (x % dom.0, y % dom.1)).collect()
-            };
-            let r = rel(&fold(&r_edges));
-            let s = rel(&fold(&s_edges));
-            let backends = [
-                HeavyBackend::DenseF32,
-                HeavyBackend::Sparse,
-                HeavyBackend::BitMatrix,
-                HeavyBackend::Auto,
-                HeavyBackend::DenseF32,
-            ];
+            let r = rel(&fold(&r_edges, dom));
+            let s = rel(&fold(&s_edges, dom));
             let cfg = JoinConfig {
                 threads,
                 delta_override: Some((d1, d2)),
-                heavy_backend: backends[backend],
-                // Last slot: a one-cell cap forces the combinatorial
-                // heavy fallback.
-                matrix_cell_cap: if backend == 4 { 1 } else { JoinConfig::default().matrix_cell_cap },
+                matrix_cell_cap: cell_cap(capped),
                 ..JoinConfig::default()
             };
             let got = two_path_join_project(&r, &s, &cfg);
@@ -971,23 +858,35 @@ mod tests {
             prop_assert_eq!(got, SortMergeEngine.join_project(&r, &s));
         }
 
-        /// Counting variant is exact for every pair, at any thresholds.
+        /// Counting variant is exact for every pair, at any thresholds,
+        /// thread count and `min_count`, with the heavy core multiplied or
+        /// (one-cell cap) expanded combinatorially.
         #[test]
         fn counts_always_exact(
             r_edges in proptest::collection::vec((0u32..15, 0u32..12), 1..60),
             s_edges in proptest::collection::vec((0u32..15, 0u32..12), 1..60),
             d1 in 1u32..6,
             d2 in 1u32..6,
+            threads in 1usize..3,
+            min_count in 1u32..4,
+            capped in any::<bool>(),
+            dom in (3u32..14, 2u32..9),
         ) {
-            let r = rel(&r_edges);
-            let s = rel(&s_edges);
-            let cfg = JoinConfig::with_deltas(d1, d2);
-            let got = two_path_with_counts(&r, &s, 1, &cfg);
-            let brute = brute_counts(&r, &s);
-            prop_assert_eq!(got.len(), brute.len());
-            for (x, z, c) in got {
-                prop_assert_eq!(brute[&(x, z)], c);
-            }
+            let r = rel(&fold(&r_edges, dom));
+            let s = rel(&fold(&s_edges, dom));
+            let cfg = JoinConfig {
+                threads,
+                delta_override: Some((d1, d2)),
+                matrix_cell_cap: cell_cap(capped),
+                ..JoinConfig::default()
+            };
+            let got = two_path_with_counts(&r, &s, min_count, &cfg);
+            let brute: Vec<(Value, Value, u32)> = brute_counts(&r, &s)
+                .into_iter()
+                .filter(|&(_, c)| c >= min_count)
+                .map(|((x, z), c)| (x, z, c))
+                .collect();
+            prop_assert_eq!(got, brute);
         }
     }
 }

@@ -21,11 +21,11 @@
 //! The SIMD kernels are always compiled on x86-64; CPUID decides whether
 //! they run. [`active_kernel`] picks once per process (override with the
 //! `MMJOIN_KERNEL` environment variable); every public matmul entry point
-//! routes through it, as does the bit-matrix row OR, so engines, the
-//! parallel tile scheduler's bands and boolean products all follow one
-//! choice. All kernels skip zero entries of `A` per register-tile row —
-//! adjacency matrices are sparse-ish 0/1 and the skip is a large
-//! practical win the cost model prices via `estimate_effective`.
+//! routes through it, so engines and the parallel tile scheduler's bands
+//! all follow one choice. All kernels skip zero entries of `A` per
+//! register-tile row — adjacency matrices are sparse-ish 0/1 and the skip
+//! is a large practical win the cost model prices via
+//! `estimate_effective`.
 //!
 //! Products of 0/1 adjacency matrices are bit-identical across every
 //! kernel: all intermediates are small integers, exact in `f32`, and FMA

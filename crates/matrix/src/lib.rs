@@ -19,26 +19,19 @@
 //!   under the global thread budget).
 //! * [`arena`] — reusable thread-local scratch buffers backing the
 //!   scheduler's packing slabs.
-//! * [`bitmat`] — bit-packed boolean matrices with word-parallel OR-AND
-//!   products (boolean output needs no counts, e.g. plain join-project and
-//!   BSI); the row OR follows the same kernel choice as GEMM.
 //! * [`cost`] — the calibrated matmul cost estimator `M̂(u, v, w, co)` of
 //!   Table 1 / Algorithm 3, built by measuring this crate's own kernel at a
 //!   few sizes and interpolating, exactly as §5 describes.
 
 pub mod arena;
-pub mod bitmat;
 pub mod cost;
 pub mod dense;
 pub mod gemm;
 pub mod kernel;
-pub mod sparse;
 
-pub use bitmat::BitMatrix;
 pub use cost::{CostModel, SystemConstants, REFERENCE_GFLOPS};
 pub use dense::DenseMatrix;
 pub use gemm::{
     matmul, matmul_into, matmul_naive, matmul_parallel_on, matmul_parallel_with_kernel_on,
 };
 pub use kernel::{active_kernel, available_kernels, Kernel};
-pub use sparse::CsrMatrix;

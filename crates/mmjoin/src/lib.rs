@@ -64,7 +64,7 @@ pub use mmjoin_api::{
     Sink, StepStats, Var, VecSink,
 };
 pub use mmjoin_core::{
-    execute_general, plan_general, GeneralPlan, HeavyBackend, JoinConfig, MmJoinEngine, PlanError,
+    execute_general, plan_general, GeneralPlan, JoinConfig, MmJoinEngine, PlanError,
 };
 pub use mmjoin_executor::{Executor, ExecutorStats};
 /// Observability: the process-global [`obs::Tracer`](mmjoin_obs::trace::Tracer)

@@ -8,16 +8,16 @@
 //! per-engine hard-coding here.
 
 use mmjoin::{default_registry, Engine, EngineRegistry, PairSink, Query, VecSink};
-use mmjoin_core::{two_path_with_counts, HeavyBackend, JoinConfig, MmJoinEngine};
+use mmjoin_core::{two_path_with_counts, JoinConfig, MmJoinEngine};
 use mmjoin_datagen::DatasetKind;
 use mmjoin_storage::{Relation, Value};
 
 const SCALE: f64 = 0.04;
 const SEED: u64 = 77;
 
-/// The default roster plus extra MMJoin configurations (parallel, each
-/// heavy-core backend) registered under distinct names — the registry
-/// makes widening the sweep a one-liner.
+/// The default roster plus extra MMJoin configurations (parallel, and the
+/// combinatorial heavy-core fallback) registered under distinct names —
+/// the registry makes widening the sweep a one-liner.
 fn registry_under_test() -> EngineRegistry {
     let mut registry = default_registry(1);
     struct Renamed {
@@ -39,10 +39,6 @@ fn registry_under_test() -> EngineRegistry {
             self.inner.execute(q, sink)
         }
     }
-    let backend_cfg = |backend| JoinConfig {
-        heavy_backend: backend,
-        ..JoinConfig::default()
-    };
     let threads_cfg = |threads| JoinConfig {
         threads,
         ..JoinConfig::default()
@@ -53,9 +49,15 @@ fn registry_under_test() -> EngineRegistry {
         ("MMJoin(2 threads)", threads_cfg(2)),
         ("MMJoin(3 threads)", threads_cfg(3)),
         ("MMJoin(8 threads)", threads_cfg(8)),
-        ("MMJoin(bitmatrix)", backend_cfg(HeavyBackend::BitMatrix)),
-        ("MMJoin(spgemm)", backend_cfg(HeavyBackend::Sparse)),
-        ("MMJoin(auto)", backend_cfg(HeavyBackend::Auto)),
+        // A zero cell cap evaluates every heavy core combinatorially
+        // (the memory guard) instead of multiplying it.
+        (
+            "MMJoin(cell cap 0)",
+            JoinConfig {
+                matrix_cell_cap: 0,
+                ..JoinConfig::default()
+            },
+        ),
     ] {
         registry.register(Box::new(Renamed {
             name,
